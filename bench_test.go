@@ -449,7 +449,7 @@ func BenchmarkTable1Portfolio(b *testing.B) {
 			}
 			total = 0
 			for _, sk := range sks {
-				r, err := portfolio.Solve(context.Background(), sk, a, portfolio.Options{Cache: cache})
+				r, err := portfolio.Solve(context.Background(), sk, a, portfolio.Options{Race: true, Cache: cache})
 				if err != nil {
 					b.Fatal(err)
 				}

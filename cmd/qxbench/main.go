@@ -188,13 +188,13 @@ type batchConfig struct {
 }
 
 // snapshotRow is one benchmark's entry in the stable -json perf snapshot.
-// The counters reuse the qxmap wire schema (StatsJSON), so a counter added
-// to Stats flows into the snapshot without a second hand-mirrored type.
+// The counters reuse the qxmap wire schema (Stats), so a counter added to
+// Stats flows into the snapshot without a second hand-mirrored type.
 type snapshotRow struct {
-	Name    string          `json:"name"`
-	Cost    int             `json:"cost"`
-	Minimal bool            `json:"minimal"`
-	Stats   qxmap.StatsJSON `json:"stats"`
+	Name    string      `json:"name"`
+	Cost    int         `json:"cost"`
+	Minimal bool        `json:"minimal"`
+	Stats   qxmap.Stats `json:"stats"`
 }
 
 // batchSnapshot is the -json perf snapshot of a whole batch run — the
@@ -292,7 +292,7 @@ func runBatch(ctx context.Context, a *arch.Arch, cfg batchConfig) {
 			Name:    br.Job.Name,
 			Cost:    r.Cost,
 			Minimal: r.Minimal,
-			Stats:   r.Stats.JSON(),
+			Stats:   r.Stats,
 		})
 	}
 

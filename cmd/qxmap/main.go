@@ -13,9 +13,10 @@
 // report on stderr. With -json, the output is instead the stable JSON
 // encoding of the result (qxmap.ResultJSON, mapped QASM included) — the
 // same shape the qxmapd service returns. A -timeout maps to
-// context.WithTimeout over the whole solve: exact runs abort within one
-// solver restart interval of the deadline instead of relying on ad-hoc
-// conflict budgets.
+// context.WithTimeout over the whole solve: exact runs abort within a few
+// hundred solver conflicts of the deadline (the SAT solver polls its
+// context every 256 conflicts) instead of relying on ad-hoc conflict
+// budgets.
 //
 // -cost-model replaces the paper's uniform 7/4 objective with rescaled
 // units, and -calibration loads per-coupling weights or error rates from

@@ -1,74 +1,13 @@
 package qxmap
 
-// Stable JSON wire encodings of Result, Stats and the MapBatch report.
-// These types are the single source of truth for how mapping outcomes
-// cross process boundaries: cmd/qxmap -json prints them, cmd/qxmapd
-// serves them, and a golden-file test pins the field set so the wire
-// format only changes deliberately. Durations are encoded as integer
-// nanoseconds (the _ns suffix), layouts as plain physical-qubit arrays,
-// and the mapped circuit as an OpenQASM 2.0 string.
-
-// StatsJSON is the wire encoding of Stats.
-type StatsJSON struct {
-	SkeletonNS    int64  `json:"skeleton_ns"`
-	SolveNS       int64  `json:"solve_ns"`
-	MaterializeNS int64  `json:"materialize_ns"`
-	VerifyNS      int64  `json:"verify_ns"`
-	OptimizeNS    int64  `json:"optimize_ns"`
-	Solver        string `json:"solver"`
-	Engine        string `json:"engine"`
-	CacheHit      bool   `json:"cache_hit"`
-	// CacheTier is "memory" or "disk" on a cache hit, "" on a solve.
-	CacheTier    string `json:"cache_tier"`
-	SATSolves    int    `json:"sat_solves"`
-	SATEncodes   int    `json:"sat_encodes"`
-	SATConflicts int64  `json:"sat_conflicts"`
-	BoundProbes  int    `json:"bound_probes"`
-	BoundJumps   int    `json:"bound_jumps"`
-	LowerBound   int    `json:"lower_bound"`
-	// SubsetsPruned, CoreFamilyRefutations and OrbitHits instrument the
-	// §4.1 shared-instance subset fan-out (all 0 outside it).
-	SubsetsPruned         int   `json:"subsets_pruned"`
-	CoreFamilyRefutations int   `json:"core_family_refutations"`
-	OrbitHits             int   `json:"orbit_hits"`
-	SATThreads            int   `json:"sat_threads"`
-	SharedClauses         int64 `json:"shared_clauses"`
-	// Degradation and BoundGap report graceful degradation
-	// (Options.Ladder): the rung that produced the plan ("anytime" or
-	// "heuristic") and, for anytime plans, the bracket on the optimum
-	// (it lies in [cost−bound_gap, cost]). Omitted on full solves, so
-	// happy-path encodings are byte-identical to earlier versions.
-	Degradation string `json:"degradation,omitempty"`
-	BoundGap    int    `json:"bound_gap,omitempty"`
-}
-
-// JSON returns the stable wire encoding of the stats.
-func (s Stats) JSON() StatsJSON {
-	return StatsJSON{
-		SkeletonNS:            s.SkeletonTime.Nanoseconds(),
-		SolveNS:               s.SolveTime.Nanoseconds(),
-		MaterializeNS:         s.MaterializeTime.Nanoseconds(),
-		VerifyNS:              s.VerifyTime.Nanoseconds(),
-		OptimizeNS:            s.OptimizeTime.Nanoseconds(),
-		Solver:                s.Solver,
-		Engine:                s.Engine,
-		CacheHit:              s.CacheHit,
-		CacheTier:             s.CacheTier,
-		SATSolves:             s.SATSolves,
-		SATEncodes:            s.SATEncodes,
-		SATConflicts:          s.SATConflicts,
-		BoundProbes:           s.BoundProbes,
-		BoundJumps:            s.BoundJumps,
-		LowerBound:            s.LowerBound,
-		SubsetsPruned:         s.SubsetsPruned,
-		CoreFamilyRefutations: s.CoreFamilyRefutations,
-		OrbitHits:             s.OrbitHits,
-		SATThreads:            s.SATThreads,
-		SharedClauses:         s.SharedClauses,
-		Degradation:           s.Degradation,
-		BoundGap:              s.BoundGap,
-	}
-}
+// Stable JSON wire encodings of Result and the MapBatch report; Stats
+// carries its own JSON tags and is marshaled as is. These types are the
+// single source of truth for how mapping outcomes cross process
+// boundaries: cmd/qxmap -json prints them, cmd/qxmapd serves them, and a
+// golden-file test pins the field set so the wire format only changes
+// deliberately. Durations are encoded as integer nanoseconds (the _ns
+// suffix), layouts as plain physical-qubit arrays, and the mapped circuit
+// as an OpenQASM 2.0 string.
 
 // CostModelJSON is the wire encoding of a non-default cost model: the
 // uniform units plus the number of per-edge overrides each kind carries.
@@ -109,7 +48,7 @@ type ResultJSON struct {
 	// weighted objective (Options.CostModel or a model on the
 	// architecture).
 	CostModel *CostModelJSON `json:"cost_model,omitempty"`
-	Stats     StatsJSON      `json:"stats"`
+	Stats     Stats          `json:"stats"`
 }
 
 // JSON returns the stable wire encoding of the result. With includeQASM,
@@ -131,7 +70,7 @@ func (r *Result) JSON(includeQASM bool) (*ResultJSON, error) {
 		InitialLayout:      []int(r.InitialLayout),
 		FinalLayout:        []int(r.FinalLayout),
 		RuntimeNS:          r.Runtime.Nanoseconds(),
-		Stats:              r.Stats.JSON(),
+		Stats:              r.Stats,
 	}
 	if cm := r.CostModel; cm != nil {
 		se, _ := cm.SwapOverrides()

@@ -33,25 +33,6 @@ type Column struct {
 	// PermPoints is the paper's |G'| column: permutation points plus one
 	// for the free initial mapping (strategy columns only; 0 otherwise).
 	PermPoints int
-	// Solves, Encodes and Conflicts expose the SAT engine's counters for
-	// the column (0 for DP and heuristic runs): encode-count regressions
-	// in the incremental descent show up here. BoundProbes/BoundJumps and
-	// LowerBound instrument the core-guided descent: guarded bound probes,
-	// core-driven multi-step advances, and the admissible seed.
-	Solves      int
-	Encodes     int
-	Conflicts   int64
-	BoundProbes int
-	BoundJumps  int
-	LowerBound  int
-	// SubsetsPruned, CoreFamilyRefutations and OrbitHits instrument the
-	// §4.1 shared-instance subset fan-out (0 for non-subset columns):
-	// subsets retired by their admissible lower bound, UNSAT probes that
-	// refuted the whole pending family at once, and subsets proven by their
-	// automorphism-orbit representative.
-	SubsetsPruned         int
-	CoreFamilyRefutations int
-	OrbitHits             int
 	// Runtime is the wall-clock solving time.
 	Runtime time.Duration
 }
@@ -211,18 +192,9 @@ func RunRow(ctx context.Context, b revlib.Benchmark, cfg Config) (Row, error) {
 			return nil, Column{}, fmt.Errorf("%s: %w", name, err)
 		}
 		return plan, Column{
-			Cost:                  row.OriginalCost + plan.Cost,
-			Added:                 plan.Cost,
-			Solves:                plan.SATSolves,
-			Encodes:               plan.SATEncodes,
-			Conflicts:             plan.SATConflicts,
-			BoundProbes:           plan.BoundProbes,
-			BoundJumps:            plan.BoundJumps,
-			LowerBound:            plan.LowerBound,
-			SubsetsPruned:         plan.SubsetsPruned,
-			CoreFamilyRefutations: plan.CoreFamilyRefutations,
-			OrbitHits:             plan.OrbitHits,
-			Runtime:               plan.Runtime,
+			Cost:    row.OriginalCost + plan.Cost,
+			Added:   plan.Cost,
+			Runtime: plan.Runtime,
 		}, nil
 	}
 

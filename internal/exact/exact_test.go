@@ -133,8 +133,8 @@ func TestSATFigure5MinimalCost(t *testing.T) {
 	if r.Cost != 4 {
 		t.Fatalf("SAT minimal cost = %d, want 4 (paper Example 7)", r.Cost)
 	}
-	if r.Solves < 2 {
-		t.Errorf("solves = %d, expected at least SAT+UNSAT round", r.Solves)
+	if r.SATSolves < 2 {
+		t.Errorf("solves = %d, expected at least SAT+UNSAT round", r.SATSolves)
 	}
 }
 
@@ -349,8 +349,8 @@ func TestStartBoundSpeedsDescent(t *testing.T) {
 	if seeded.Cost != dp.Cost {
 		t.Fatalf("seeded SAT cost %d ≠ DP cost %d", seeded.Cost, dp.Cost)
 	}
-	if seeded.Solves > 3 {
-		t.Errorf("seeded descent used %d solves, expected ≤ 3", seeded.Solves)
+	if seeded.SATSolves > 3 {
+		t.Errorf("seeded descent used %d solves, expected ≤ 3", seeded.SATSolves)
 	}
 }
 
@@ -522,8 +522,8 @@ func TestBruteForceGuards(t *testing.T) {
 }
 
 // TestSolveCancellation verifies that both engines abort a running solve
-// promptly once the context is cancelled: the SAT engine at the next
-// restart boundary, the DP engine at the next frame transition.
+// promptly once the context is cancelled: the SAT engine at its next
+// context poll, the DP engine at the next frame transition.
 func TestSolveCancellation(t *testing.T) {
 	a := arch.Ring(6)
 	cases := []struct {
@@ -628,8 +628,8 @@ func TestStartBoundRelaxRecovers(t *testing.T) {
 		if !r.Minimal {
 			t.Errorf("binary=%v: relaxed descent should still prove minimality", binary)
 		}
-		if r.Encodes != 1 {
-			t.Errorf("binary=%v: Encodes = %d, want 1 (relax must not re-encode)", binary, r.Encodes)
+		if r.SATEncodes != 1 {
+			t.Errorf("binary=%v: Encodes = %d, want 1 (relax must not re-encode)", binary, r.SATEncodes)
 		}
 	}
 }
@@ -669,8 +669,8 @@ func TestDescentParityOracles(t *testing.T) {
 			}
 		}
 		for _, r := range []*Result{lin, bin} {
-			if r.Encodes != 1 {
-				t.Errorf("seed %d: SAT run encoded %d times, want 1", seed, r.Encodes)
+			if r.SATEncodes != 1 {
+				t.Errorf("seed %d: SAT run encoded %d times, want 1", seed, r.SATEncodes)
 			}
 		}
 	}
@@ -688,11 +688,11 @@ func TestBinaryDescentSingleEncode(t *testing.T) {
 	if r.Cost != 4 {
 		t.Fatalf("cost = %d, want 4", r.Cost)
 	}
-	if r.Encodes != 1 {
-		t.Errorf("Encodes = %d, want exactly 1 for the whole binary descent", r.Encodes)
+	if r.SATEncodes != 1 {
+		t.Errorf("Encodes = %d, want exactly 1 for the whole binary descent", r.SATEncodes)
 	}
-	if r.Solves < 2 {
-		t.Errorf("Solves = %d, expected several probes on the single encoding", r.Solves)
+	if r.SATSolves < 2 {
+		t.Errorf("Solves = %d, expected several probes on the single encoding", r.SATSolves)
 	}
 	if !r.Minimal {
 		t.Error("completed binary descent must report proven minimality")
@@ -790,8 +790,8 @@ func TestSubsetSharedBoundPruning(t *testing.T) {
 			if st.Cost != dp.Cost {
 				t.Errorf("seed %d parallel=%v: SAT=%d DP=%d", seed, parallel, st.Cost, dp.Cost)
 			}
-			if st.Encodes < 1 {
-				t.Errorf("seed %d parallel=%v: Encodes = %d, want ≥ 1", seed, parallel, st.Encodes)
+			if st.SATEncodes < 1 {
+				t.Errorf("seed %d parallel=%v: Encodes = %d, want ≥ 1", seed, parallel, st.SATEncodes)
 			}
 			if !st.Minimal {
 				t.Errorf("seed %d parallel=%v: subset run lost the minimality proof", seed, parallel)

@@ -37,8 +37,8 @@ func TestSATThreadsParity(t *testing.T) {
 		if !multi.Minimal {
 			t.Errorf("instance %d: portfolio lost the minimality proof", i)
 		}
-		if multi.Encodes != 1 {
-			t.Errorf("instance %d: portfolio re-encoded (%d encodes)", i, multi.Encodes)
+		if multi.SATEncodes != 1 {
+			t.Errorf("instance %d: portfolio re-encoded (%d encodes)", i, multi.SATEncodes)
 		}
 		if single.SATThreads != 1 || multi.SATThreads != 4 {
 			t.Errorf("instance %d: SATThreads = %d/%d, want 1/4", i, single.SATThreads, multi.SATThreads)
@@ -64,9 +64,9 @@ func TestSATThreadsDefaultSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Cost != r2.Cost || r1.Conflicts != r2.Conflicts || r1.BoundProbes != r2.BoundProbes {
+	if r1.Cost != r2.Cost || r1.SATConflicts != r2.SATConflicts || r1.BoundProbes != r2.BoundProbes {
 		t.Errorf("threads=1 diverged from default: cost %d/%d, conflicts %d/%d, probes %d/%d",
-			r1.Cost, r2.Cost, r1.Conflicts, r2.Conflicts, r1.BoundProbes, r2.BoundProbes)
+			r1.Cost, r2.Cost, r1.SATConflicts, r2.SATConflicts, r1.BoundProbes, r2.BoundProbes)
 	}
 	if r1.SharedClauses != 0 || r2.SharedClauses != 0 {
 		t.Errorf("single-thread runs reported clause sharing: %d, %d", r1.SharedClauses, r2.SharedClauses)

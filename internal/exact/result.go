@@ -10,6 +10,57 @@ import (
 	"repro/internal/perm"
 )
 
+// Counters is the solver work record of one solve. It is declared once
+// here and embedded by every layer that reports it (solver.Plan,
+// qxmap.Stats), so its fields are promoted and its JSON tags are the wire
+// names of the stats block. The DP engine reports only the §4.1 fields
+// (SubsetsPruned, OrbitHits); heuristic plans and disk-tier cache hits
+// report none.
+type Counters struct {
+	// SATSolves counts CDCL invocations.
+	SATSolves int `json:"sat_solves"`
+	// SATEncodes counts encoder.Encode calls behind the result. The
+	// incremental descent encodes exactly once per instance, so a plain
+	// run reports 1 and a §4.1 run reports 1 for its one shared instance;
+	// a larger value means the engine fell back to re-encoding.
+	SATEncodes int `json:"sat_encodes"`
+	// SATConflicts counts CDCL conflicts across all solver invocations.
+	SATConflicts int64 `json:"sat_conflicts"`
+	// BoundProbes counts solver invocations that probed a cost bound via
+	// guard assumptions — the descent steps proper, excluding unbounded
+	// initial solves.
+	BoundProbes int `json:"bound_probes"`
+	// BoundJumps counts UNSAT probes where core analysis paid off: the
+	// minimized assumption core refuted a looser bound than the tightest
+	// one assumed, so the floor advanced past what the probe's conjunction
+	// alone implies.
+	BoundJumps int `json:"bound_jumps"`
+	// LowerBound is the admissible lower bound on F that seeded the
+	// descent (0 when disabled or trivial). For a §4.1 run it is the
+	// minimum over the attempted subsets' own bounds.
+	LowerBound int `json:"lower_bound"`
+	// SubsetsPruned counts §4.1 subsets retired without any solver probe
+	// of their own: their admissible lower bound showed they could not
+	// beat the incumbent (or an externally asserted strict bound).
+	SubsetsPruned int `json:"subsets_pruned"`
+	// CoreFamilyRefutations counts UNSAT probes on the shared §4.1
+	// instance whose assumption core refuted the whole pending subset
+	// family at once — one conflict analysis standing in for a per-subset
+	// round of probes.
+	CoreFamilyRefutations int `json:"core_family_refutations"`
+	// OrbitHits counts §4.1 subsets whose result was transferred from
+	// their coupling-graph automorphism orbit's representative instead of
+	// being re-proven (symmetric architectures only).
+	OrbitHits int `json:"orbit_hits"`
+	// SATThreads is the clause-sharing portfolio width the SAT engine
+	// solved with (1 for the plain deterministic solver).
+	SATThreads int `json:"sat_threads"`
+	// SharedClauses counts learnt clauses imported across the portfolio's
+	// workers (sat.Stats.SharedImports summed over all workers; 0 when
+	// SATThreads ≤ 1).
+	SharedClauses int64 `json:"shared_clauses"`
+}
+
 // Result is the outcome of an exact (or strategy-restricted) mapping run.
 type Result struct {
 	// Cost is the minimal F found under the architecture's cost model:
@@ -29,57 +80,9 @@ type Result struct {
 	PermPoints int
 	// Engine names the solving engine ("sat" or "dp").
 	Engine string
-	// Solves counts reasoning-engine invocations (SAT engine only).
-	Solves int
-	// Encodes counts encoder.Encode calls behind this result (SAT engine
-	// only; 0 for the DP engine). The incremental descent encodes exactly
-	// once per SolveSAT call, so a plain run reports 1 and a §4.1 subset
-	// run reports one per attempted subset instance — except subsets whose
-	// admissible lower bound already exceeded the shared incumbent's strict
-	// bound, which are refuted without encoding at all.
-	Encodes int
-	// Conflicts counts CDCL conflicts across all solver invocations of the
-	// run (SAT engine only; 0 for the DP engine).
-	Conflicts int64
-	// BoundProbes counts solver invocations that probed a cost bound via
-	// guard assumptions — the descent steps proper, excluding unbounded
-	// initial solves (SAT engine only). A §4.1 run aggregates the probes of
-	// every attempted subset.
-	BoundProbes int
-	// BoundJumps counts UNSAT probes where core analysis paid off: the
-	// minimized assumption core refuted a looser bound than the tightest
-	// one assumed, so the floor advanced past what the probe's conjunction
-	// alone implies (SAT engine only).
-	BoundJumps int
-	// SATThreads is the portfolio width the SAT engine solved with (1 for
-	// the plain deterministic solver; 0 for the DP engine).
-	SATThreads int
-	// SharedClauses counts learnt clauses imported across portfolio workers
-	// during the run (sat.Stats.SharedImports aggregated over all workers;
-	// 0 when SATThreads ≤ 1). A §4.1 run sums every subset's imports.
-	SharedClauses int64
-	// LowerBound is the admissible lower bound on F that seeded the
-	// descent (0 when disabled or trivial; SAT engine only). For a §4.1
-	// run it is the bound the shared descent's floor was seeded from —
-	// the minimum over the attempted subsets' own bounds.
-	LowerBound int
-	// SubsetsPruned counts §4.1 subsets retired without any solver probe of
-	// their own: their admissible lower bound showed they could not beat
-	// the incumbent (or an externally asserted strict bound), so they were
-	// dropped from the shared instance's pending family. 0 outside the
-	// subset fan-out.
-	SubsetsPruned int
-	// CoreFamilyRefutations counts UNSAT probes on the shared §4.1
-	// instance whose assumption core refuted the whole pending subset
-	// family at once — one conflict analysis standing in for a per-subset
-	// round of probes. 0 outside the subset fan-out.
-	CoreFamilyRefutations int
-	// OrbitHits counts §4.1 subsets whose result was transferred from
-	// their coupling-graph automorphism orbit's representative instead of
-	// being re-proven: symmetric architectures (rings, grids) collapse
-	// many subsets onto one proof. 0 on asymmetric architectures and
-	// outside the subset fan-out.
-	OrbitHits int
+	// Counters is the run's work record; a §4.1 run aggregates every
+	// attempted subset.
+	Counters
 	// Minimal reports whether Cost is PROVEN minimal for this instance by
 	// the run itself: the SAT descent reached UNSAT below Cost (or Cost is
 	// 0), or the DP/brute oracle ran to completion. A conflict-budgeted

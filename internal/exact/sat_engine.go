@@ -144,7 +144,7 @@ type boundGuards interface {
 // (§3.3, realized by bound tightening instead of a native optimizer).
 //
 // The descent is fully incremental: the instance is encoded exactly once
-// (Result.Encodes == 1) and every bound — the caller's StartBound, each
+// (Result.SATEncodes == 1) and every bound — the caller's StartBound, each
 // linear tightening step, each binary-search midpoint — is enforced by
 // passing the bound's activation literal (Encoding.CostAtMostLit) as a
 // solver assumption. UNSAT probes therefore never poison the instance and
@@ -185,7 +185,7 @@ func SolveSAT(ctx context.Context, p encoder.Problem, opts SATOptions) (res *Res
 		// mapping under the bound exists, no encode or probe needed. The
 		// §4.1 fan-out hits this when a subset's geometry cannot beat the
 		// shared incumbent.
-		res := &Result{WorkArch: p.Arch, Engine: EngineSAT.String(), LowerBound: lb, Minimal: true}
+		res := &Result{WorkArch: p.Arch, Engine: EngineSAT.String(), Counters: Counters{LowerBound: lb}, Minimal: true}
 		return res, fmt.Errorf("exact: %w (admissible lower bound %d exceeds the strict bound %d)",
 			ErrUnsatisfiable, lb, opts.StartBound)
 	}
@@ -215,9 +215,7 @@ func SolveSAT(ctx context.Context, p encoder.Problem, opts SATOptions) (res *Res
 		WorkArch:   p.Arch,
 		PermPoints: enc.NumPermPoints(),
 		Engine:     EngineSAT.String(),
-		Encodes:    1,
-		LowerBound: lb,
-		SATThreads: threads,
+		Counters:   Counters{SATEncodes: 1, LowerBound: lb, SATThreads: threads},
 	}
 
 	var best *encoder.Solution
@@ -227,12 +225,10 @@ func SolveSAT(ctx context.Context, p encoder.Problem, opts SATOptions) (res *Res
 		best, err = minimizeLinear(ctx, prober, enc, res, opts, lb)
 	}
 	snap := prober.Snapshot()
-	res.Conflicts = snap.Conflicts
+	res.SATConflicts = snap.Conflicts
 	res.SharedClauses = snap.SharedImports
-	// Failures past this point still return the Result so callers can
-	// aggregate the run's counters (the §4.1 fan-out charges refuted and
-	// truncated subsets to its totals); only a nil error carries a
-	// Solution.
+	// Failures past this point still return the Result with the run's
+	// Counters; only a nil error carries a Solution.
 	if err != nil {
 		return res, err
 	}
@@ -330,7 +326,7 @@ func minimizeLinear(ctx context.Context, solver satProber, enc *encoder.Encoding
 	lo := lb - 1 // largest bound known unsatisfiable (admissibility of lb)
 	assume := startAssumptions(enc, opts)
 	for {
-		res.Solves++
+		res.SATSolves++
 		if len(assume) > 0 {
 			res.BoundProbes++
 		}
@@ -404,13 +400,13 @@ func minimizeLinear(ctx context.Context, solver satProber, enc *encoder.Encoding
 // to the model's cost; convergence proves minimality.
 func minimizeBinary(ctx context.Context, solver satProber, enc *encoder.Encoding, res *Result, opts SATOptions, lb int) (*encoder.Solution, error) {
 	assume := startAssumptions(enc, opts)
-	res.Solves++
+	res.SATSolves++
 	if len(assume) > 0 {
 		res.BoundProbes++
 	}
 	status := solver.SolveContext(ctx, assume...)
 	if status == sat.Unsat && relaxable(solver, opts, len(assume) > 0, false) {
-		res.Solves++
+		res.SATSolves++
 		status = solver.SolveContext(ctx)
 	}
 	if status == sat.Unknown {
@@ -433,7 +429,7 @@ func minimizeBinary(ctx context.Context, solver satProber, enc *encoder.Encoding
 	for best.Cost > lo+1 {
 		mid := lo + (best.Cost-lo)/2
 		assume := probeAssumptions(enc, mid, lo, opts)
-		res.Solves++
+		res.SATSolves++
 		res.BoundProbes++
 		switch solver.SolveContext(ctx, assume...) {
 		case sat.Unknown:

@@ -96,8 +96,8 @@ func solveSubsetsShared(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch,
 	}
 	if len(insts) == 0 {
 		res := &Result{
-			WorkArch: a, Engine: EngineSAT.String(), LowerBound: minLb, Minimal: true,
-			SubsetsPruned: prePruned, OrbitHits: orbitHits, Runtime: time.Since(start),
+			WorkArch: a, Engine: EngineSAT.String(), Minimal: true, Runtime: time.Since(start),
+			Counters: Counters{LowerBound: minLb, SubsetsPruned: prePruned, OrbitHits: orbitHits},
 		}
 		return res, fmt.Errorf("exact: %w (admissible lower bound %d exceeds the strict bound %d on every connected %d-subset)",
 			ErrUnsatisfiable, minLb, opts.SAT.StartBound, n)
@@ -133,14 +133,16 @@ func solveSubsetsShared(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch,
 	}
 
 	res := &Result{
-		WorkArch:      a,
-		PermPoints:    menc.NumPermPoints(),
-		Engine:        EngineSAT.String(),
-		Encodes:       1,
-		LowerBound:    minLb,
-		SATThreads:    threads,
-		SubsetsPruned: prePruned,
-		OrbitHits:     orbitHits,
+		WorkArch:   a,
+		PermPoints: menc.NumPermPoints(),
+		Engine:     EngineSAT.String(),
+		Counters: Counters{
+			SATEncodes:    1,
+			LowerBound:    minLb,
+			SATThreads:    threads,
+			SubsetsPruned: prePruned,
+			OrbitHits:     orbitHits,
+		},
 	}
 
 	d := &sharedDescent{
@@ -162,7 +164,7 @@ func solveSubsetsShared(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch,
 		best, bestIdx, err = d.minimizeLinear(ctx)
 	}
 	snap := prober.Snapshot()
-	res.Conflicts = snap.Conflicts
+	res.SATConflicts = snap.Conflicts
 	res.SharedClauses = snap.SharedImports
 	if err != nil {
 		return res, err
@@ -284,7 +286,7 @@ func (d *sharedDescent) minimizeLinear(ctx context.Context) (*encoder.Solution, 
 			return best, bestIdx, nil
 		}
 		assume := append([]sat.Lit{d.familyGuard(pending)}, bounds...)
-		d.res.Solves++
+		d.res.SATSolves++
 		if len(bounds) > 0 {
 			d.res.BoundProbes++
 		}
@@ -355,13 +357,13 @@ func (d *sharedDescent) minimizeBinary(ctx context.Context) (*encoder.Solution, 
 	pending := d.pendingFor(math.MaxInt)
 	bounds := startAssumptions(d.menc, d.opts)
 	assume := append([]sat.Lit{d.familyGuard(pending)}, bounds...)
-	d.res.Solves++
+	d.res.SATSolves++
 	if len(bounds) > 0 {
 		d.res.BoundProbes++
 	}
 	status := d.prober.SolveContext(ctx, assume...)
 	if status == sat.Unsat && relaxable(d.prober, d.opts, len(bounds) > 0, false) {
-		d.res.Solves++
+		d.res.SATSolves++
 		status = d.prober.SolveContext(ctx, d.familyGuard(pending))
 	}
 	if status == sat.Unknown {
@@ -392,7 +394,7 @@ func (d *sharedDescent) minimizeBinary(ctx context.Context) (*encoder.Solution, 
 		}
 		bounds := probeAssumptions(d.menc, mid, lo, d.opts)
 		assume := append([]sat.Lit{d.familyGuard(pending)}, bounds...)
-		d.res.Solves++
+		d.res.SATSolves++
 		d.res.BoundProbes++
 		switch d.prober.SolveContext(ctx, assume...) {
 		case sat.Unknown:

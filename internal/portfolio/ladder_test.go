@@ -136,7 +136,7 @@ func ladderCtx(t *testing.T) context.Context {
 
 func TestLadderHeuristicFallback(t *testing.T) {
 	sk, a := ladderSkeleton()
-	opts := Options{HeuristicRuns: -1} // no bounding phase: keep the failure path pure
+	opts := Options{Race: true, UpperBound: -1} // no bounding phase: keep the failure path pure
 
 	// Without the ladder the deadline surfaces as an exhaustion error.
 	_, err := Solve(ladderCtx(t), sk, a, opts)
@@ -169,7 +169,7 @@ func TestLadderHeuristicFallback(t *testing.T) {
 func TestLadderNeverSoftensRealFailures(t *testing.T) {
 	disc := arch.MustNew("disc", 4, []arch.Pair{{Control: 0, Target: 1}, {Control: 2, Target: 3}})
 	sk := mkSkeleton(3, [2]int{0, 1}, [2]int{1, 2})
-	_, err := Solve(bg, sk, disc, Options{Ladder: true, HeuristicRuns: -1})
+	_, err := Solve(bg, sk, disc, Options{Race: true, Ladder: true, UpperBound: -1})
 	if !errors.Is(err, exact.ErrUnsatisfiable) {
 		t.Errorf("unsatisfiable instance under the ladder: err = %v, want ErrUnsatisfiable", err)
 	}
@@ -180,7 +180,7 @@ func TestLadderNeverSoftensRealFailures(t *testing.T) {
 // has to solve for real, not read back a degraded answer as the optimum.
 func TestLadderDegradedNotCached(t *testing.T) {
 	sk, a := ladderSkeleton()
-	opts := Options{HeuristicRuns: -1, Ladder: true, Cache: NewCache(0)}
+	opts := Options{Race: true, UpperBound: -1, Ladder: true, Cache: NewCache(0)}
 	disk := newMapStore()
 	opts.Store = disk
 

@@ -1,19 +1,25 @@
-// Package portfolio orchestrates the repository's solving engines into a
-// single entry point. A Solve call
+// Package portfolio is the single entry point of the exact solving
+// family. A Solve call
 //
-//  1. consults an optional LRU cache keyed by a canonical fingerprint of
-//     the instance (skeleton, architecture, strategy, subsets, pin),
-//  2. runs the cheap stochastic heuristic to obtain an upper bound on the
-//     cost F and seeds the SAT engine's descent with it
-//     (exact.SATOptions.StartBound) — the engine independently derives an
-//     admissible lower bound from coupling-graph distances
-//     (exact.SATOptions.LowerBound), so the descent is squeezed from both
-//     ends: the heuristic caps the first model, the distance bound floors
-//     the final UNSAT proof — and
-//  3. races the SAT and DP exact engines concurrently: the first engine to
-//     return a valid minimal result wins and the loser is cancelled via
-//     context, which it notices within one restart interval (SAT) or one
-//     frame transition (DP).
+//  1. consults the result tiers — an optional in-process LRU (Cache) over
+//     an optional persistent store (Store) — keyed by a canonical
+//     fingerprint of the instance (skeleton, architecture and cost model,
+//     strategy, subsets, pin);
+//  2. on a miss solves the instance. With Options.Race off the configured
+//     engine (Options.Exact.Engine) runs alone. With it on, the cheap
+//     stochastic heuristic first derives an upper bound on the cost F that
+//     seeds the SAT engine's descent (exact.SATOptions.StartBound) — the
+//     engine independently derives an admissible lower bound from
+//     coupling-graph distances, so the descent is squeezed from both ends
+//     — and then the SAT and DP engines race: the first proven-minimal
+//     result wins and the loser is cancelled via context, which it notices
+//     within sat.Options.CtxPollConflicts conflicts (SAT) or one frame
+//     transition (DP);
+//  3. under Options.Ladder, softens a deadline or conflict-budget
+//     exhaustion into the SAT descent's anytime incumbent or, failing
+//     that, a heuristic plan (ladder.go); and
+//  4. writes full answers of unbudgeted runs through both tiers. Degraded
+//     answers are never cached.
 //
 // Because both engines are exact for the same cost function, the winning
 // cost is independent of which engine finishes first — racing trades
@@ -36,24 +42,25 @@ import (
 
 // Options configures a portfolio Solve.
 type Options struct {
-	// Exact carries the instance options shared by both engines: Strategy,
-	// UseSubsets, Parallel, InitialMapping and SAT tuning. The Engine
-	// field is ignored — the portfolio races both engines.
+	// Exact carries the instance options: Strategy, UseSubsets, Parallel,
+	// InitialMapping, SAT tuning and, when Race is off, the Engine.
 	Exact exact.Options
-	// HeuristicRuns is the number of stochastic-heuristic seeds used to
-	// derive the SAT engine's starting upper bound (default 2). Negative
-	// disables the bounding phase entirely.
-	HeuristicRuns int
+	// Race runs the SAT and DP engines concurrently behind a heuristic
+	// bounding phase (Exact.Engine is then ignored). Off, Exact.Engine runs
+	// alone with no bounding phase and its errors come back unwrapped.
+	Race bool
 	// UpperBound, when positive, supplies an externally known upper bound
-	// on F (e.g. from a heuristic the caller already ran); the bounding
-	// phase is skipped and this value seeds the SAT descent instead. An
-	// unsound bound is safe: the SAT engine relaxes the bound assumption
-	// in place when it undercuts the instance's optimum.
+	// on F (e.g. from a heuristic the caller already ran) in place of the
+	// race's bounding phase; a negative value skips the bounding phase
+	// with no bound (the caller already bounded the instance and found
+	// F = 0). An unsound bound is safe: the SAT engine relaxes the bound
+	// assumption in place when it undercuts the instance's optimum. Race
+	// only.
 	UpperBound int
-	// Seed seeds the bounding heuristic's random source.
+	// Seed seeds the bounding heuristic and the ladder's heuristic rung.
 	Seed int64
 	// Cache, when non-nil, memoizes results across Solve calls. Only
-	// minimality-guaranteed runs (no conflict budget) are cached.
+	// full answers of runs without a conflict budget are cached.
 	Cache *Cache
 	// Store, when non-nil, is the persistent tier under the Cache: misses
 	// fall through to it (hits are promoted into the Cache) and solved
@@ -62,7 +69,7 @@ type Options struct {
 	// as the Cache.
 	Store ResultStore
 	// Ladder enables the deadline-aware degradation ladder. Rung 1 is the
-	// normal exact race. Rung 2 is the anytime incumbent: the SAT descent
+	// normal exact solve. Rung 2 is the anytime incumbent: the SAT descent
 	// runs with exact.SATOptions.Anytime, so a deadline that expires after
 	// a model was found returns that model as a valid non-minimal result
 	// (Result.Degradation "anytime"). Rung 3, when even that fails on a
@@ -77,8 +84,8 @@ type Options struct {
 
 // Result is the outcome of a portfolio Solve.
 type Result struct {
-	// Result is the winning engine's solution (shared with the cache when
-	// caching is enabled; treat as immutable).
+	// Result is the exact solution (shared with the cache when caching is
+	// enabled; treat as immutable).
 	*exact.Result
 	// Winner names the source of the result: "sat", "dp", "cache" or
 	// "heuristic" (the ladder's last rung).
@@ -110,11 +117,11 @@ type attempt struct {
 	engine exact.Engine
 }
 
-// Solve maps the skeleton to the architecture by racing the exact engines,
-// seeded by the stochastic heuristic and memoized in opts.Cache. The
+// Solve maps the skeleton to the architecture with the exact engines —
+// alone or racing, see Options.Race — behind the result tiers. The
 // returned result is minimal exactly when a lone exact.Solve run with the
 // same options would be. Cancelling the context aborts the bounding phase
-// and both engines promptly; Solve then returns an error wrapping
+// and the engines promptly; Solve then returns an error wrapping
 // ctx.Err().
 func Solve(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opts Options) (*Result, error) {
 	start := time.Now()
@@ -150,16 +157,24 @@ func Solve(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opts Options
 		}
 	}
 
-	bound := opts.UpperBound
-	if bound <= 0 && opts.HeuristicRuns >= 0 {
-		bound = heuristicBound(ctx, sk, a, opts)
+	var at attempt
+	bound := 0
+	if opts.Race {
+		bound = max(opts.UpperBound, 0)
+		if opts.UpperBound == 0 {
+			bound = heuristicBound(ctx, sk, a, opts)
+		}
+		if err := ctx.Err(); err != nil {
+			// The bounding phase used up the deadline: start no engine,
+			// but leave the exhaustion to the ladder below.
+			at.err = fmt.Errorf("portfolio: solve canceled: %w", err)
+		} else {
+			at = race(ctx, sk, a, opts, bound)
+		}
+	} else {
+		at = runEngine(ctx, sk, a, opts, opts.Exact.Engine, 0)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("portfolio: solve canceled: %w", err)
-	}
-
-	winner, err := race(ctx, sk, a, opts, bound)
-	if err != nil {
+	if err := at.err; err != nil {
 		if opts.Ladder && Exhausted(err) {
 			if h, herr := HeuristicFallback(ctx, sk, a, opts.Seed, opts.Exact.InitialMapping); herr == nil {
 				return &Result{
@@ -179,16 +194,15 @@ func Solve(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opts Options
 	// never memoize them — a later generous run must not read a truncated
 	// cost back as the optimum.
 	degradation := ""
-	if winner.res.Degraded {
+	if at.res.Degraded {
 		degradation = DegradationAnytime
+	} else if cacheable {
+		tiers.Store(key, at.res)
 	}
-	if cacheable && !winner.res.Degraded {
-		tiers.Store(key, winner.res)
-	}
-	cp := *winner.res
+	cp := *at.res
 	return &Result{
 		Result:      &cp,
-		Winner:      winner.engine.String(),
+		Winner:      at.engine.String(),
 		Degradation: degradation,
 		UpperBound:  bound,
 		Runtime:     time.Since(start),
@@ -204,7 +218,7 @@ func Solve(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opts Options
 // descent that completed its UNSAT proof within budget wins immediately.
 // Because every proven-minimal result has the same cost, the returned cost
 // stays deterministic and equal to a lone engine's run.
-func race(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opts Options, bound int) (attempt, error) {
+func race(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opts Options, bound int) attempt {
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -231,10 +245,10 @@ func race(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opts Options,
 		if at.err == nil {
 			if at.res.Minimal {
 				// Proven minimal: stop the loser. It exits within one
-				// restart interval / frame transition and writes to the
+				// context poll / frame transition and writes to the
 				// buffered channel, so no goroutine blocks behind us.
 				cancel()
-				return at, nil
+				return at
 			}
 			bestEffort = &at // truncated SAT: only wins if the oracle fails
 			continue
@@ -242,21 +256,21 @@ func race(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opts Options,
 		errs = append(errs, fmt.Errorf("%s: %w", at.engine, at.err))
 	}
 	if bestEffort != nil {
-		return *bestEffort, nil
+		return *bestEffort
 	}
 	if err := ctx.Err(); err != nil {
-		return attempt{}, fmt.Errorf("portfolio: solve canceled: %w", err)
+		return attempt{err: fmt.Errorf("portfolio: solve canceled: %w", err)}
 	}
-	return attempt{}, fmt.Errorf("portfolio: all engines failed: %w", errors.Join(errs...))
+	return attempt{err: fmt.Errorf("portfolio: all engines failed: %w", errors.Join(errs...))}
 }
 
-// runEngine executes one engine of the race. The SAT engine is seeded with
-// the heuristic upper bound. Restricted strategies (§4.2 odd / triangle)
-// and the §4.1 subset restriction are not guaranteed to admit the
-// heuristic's solution, but an unsound bound is harmless: the incremental
-// engine enforces StartBound as a guard assumption and relaxes it in place
-// on the same solver when it proves too tight — the old "retry unbounded"
-// re-encode dance is gone.
+// runEngine runs one exact engine: alone when the race is off, as one
+// racer otherwise. A positive bound seeds the SAT engine's descent.
+// Restricted strategies (§4.2 odd / triangle) and the §4.1 subset
+// restriction are not guaranteed to admit the heuristic's solution, but an
+// unsound bound is harmless: the incremental engine enforces StartBound as
+// a guard assumption and relaxes it in place on the same solver when it
+// proves too tight.
 func runEngine(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opts Options, eng exact.Engine, bound int) attempt {
 	eo := opts.Exact
 	eo.Engine = eng
@@ -277,11 +291,7 @@ func heuristicBound(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opt
 	if sk.NumQubits > a.NumQubits() || !a.Connected() || opts.Exact.InitialMapping != nil {
 		return 0
 	}
-	runs := opts.HeuristicRuns
-	if runs == 0 {
-		runs = 2
-	}
-	h, err := heuristic.MapBest(ctx, sk, a, runs, heuristic.Options{Seed: opts.Seed})
+	h, err := heuristic.MapBest(ctx, sk, a, 2, heuristic.Options{Seed: opts.Seed})
 	if err != nil {
 		return 0
 	}

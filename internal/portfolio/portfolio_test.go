@@ -42,7 +42,7 @@ func TestTable1Parity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Solve(bg, sk, a, Options{})
+			got, err := Solve(bg, sk, a, Options{Race: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,6 +56,38 @@ func TestTable1Parity(t *testing.T) {
 				t.Errorf("heuristic upper bound %d below minimal cost %d", got.UpperBound, got.Cost)
 			}
 		})
+	}
+}
+
+// TestRaceOffRunsConfiguredEngine: without the race, Solve runs exactly
+// the configured engine with no bounding phase, reports it as the winner,
+// and hands that engine's errors back unwrapped.
+func TestRaceOffRunsConfiguredEngine(t *testing.T) {
+	a := arch.QX4()
+	sk := mkSkeleton(3, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{0, 2})
+	for _, eng := range []exact.Engine{exact.EngineSAT, exact.EngineDP} {
+		eo := exact.Options{Engine: eng}
+		want, err := exact.Solve(bg, sk, a, eo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Solve(bg, sk, a, Options{Exact: eo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Winner != eng.String() || got.Cost != want.Cost || got.UpperBound != 0 {
+			t.Errorf("%s: winner=%q cost=%d bound=%d, want %q/%d/0", eng, got.Winner, got.Cost, got.UpperBound, eng, want.Cost)
+		}
+		if got.SATSolves != want.SATSolves || got.BoundProbes != want.BoundProbes {
+			t.Errorf("%s: counters %+v differ from a lone exact.Solve %+v", eng, got.Counters, want.Counters)
+		}
+	}
+
+	disc := arch.MustNew("disc", 4, []arch.Pair{{Control: 0, Target: 1}, {Control: 2, Target: 3}})
+	_, want := exact.Solve(bg, sk, disc, exact.Options{})
+	_, got := Solve(bg, sk, disc, Options{})
+	if want == nil || got == nil || got.Error() != want.Error() || !errors.Is(got, exact.ErrUnsatisfiable) {
+		t.Errorf("race-off error %v, want exact.Solve's own %v", got, want)
 	}
 }
 
@@ -87,7 +119,7 @@ func TestStrategyParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Solve(bg, sk, a, Options{Exact: cfg})
+			got, err := Solve(bg, sk, a, Options{Race: true, Exact: cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +135,7 @@ func TestCacheHitMiss(t *testing.T) {
 	sk := mkSkeleton(3, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0})
 	cache := NewCache(8)
 
-	first, err := Solve(bg, sk, a, Options{Cache: cache})
+	first, err := Solve(bg, sk, a, Options{Race: true, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +146,7 @@ func TestCacheHitMiss(t *testing.T) {
 		t.Errorf("after first solve: hits=%d misses=%d, want 0/1", hits, misses)
 	}
 
-	second, err := Solve(bg, sk, a, Options{Cache: cache})
+	second, err := Solve(bg, sk, a, Options{Race: true, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +161,7 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 
 	// A different strategy is a different instance.
-	third, err := Solve(bg, sk, a, Options{Cache: cache, Exact: exact.Options{Strategy: exact.StrategyOdd}})
+	third, err := Solve(bg, sk, a, Options{Race: true, Cache: cache, Exact: exact.Options{Strategy: exact.StrategyOdd}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +179,7 @@ func TestCacheSkipsBudgetedRuns(t *testing.T) {
 	a := arch.QX4()
 	sk := mkSkeleton(3, [2]int{0, 1}, [2]int{1, 2})
 	cache := NewCache(8)
-	opts := Options{Cache: cache}
+	opts := Options{Race: true, Cache: cache}
 	opts.Exact.SAT.MaxConflicts = 1 << 20
 	if _, err := Solve(bg, sk, a, opts); err != nil {
 		t.Fatal(err)
@@ -161,7 +193,7 @@ func TestCancelledContextFailsFast(t *testing.T) {
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
 	sk := mkSkeleton(3, [2]int{0, 1}, [2]int{1, 2})
-	_, err := Solve(ctx, sk, arch.QX4(), Options{})
+	_, err := Solve(ctx, sk, arch.QX4(), Options{Race: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -169,8 +201,8 @@ func TestCancelledContextFailsFast(t *testing.T) {
 
 // TestDeadlineStopsRunningSolve cancels mid-solve on an instance large
 // enough that both engines are still working, and requires the portfolio to
-// return well within the test's patience (the solver notices at the next
-// restart boundary, the DP engine at the next frame transition).
+// return well within the test's patience (the SAT solver notices at its
+// next context poll, the DP engine at the next frame transition).
 func TestDeadlineStopsRunningSolve(t *testing.T) {
 	a := arch.Ring(6)
 	sk := &circuit.Skeleton{NumQubits: 6}
@@ -184,7 +216,7 @@ func TestDeadlineStopsRunningSolve(t *testing.T) {
 	ctx, cancel := context.WithTimeout(bg, 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := Solve(ctx, sk, a, Options{})
+	_, err := Solve(ctx, sk, a, Options{Race: true})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -240,7 +272,7 @@ func TestBudgetedRaceStaysMinimal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{1, 1 << 10} {
-		opts := Options{}
+		opts := Options{Race: true}
 		opts.Exact.SAT.MaxConflicts = budget
 		got, err := Solve(bg, sk, a, opts)
 		if err != nil {
@@ -264,7 +296,7 @@ func TestExternalUpperBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Solve(bg, sk, a, Options{UpperBound: want.Cost + 21, HeuristicRuns: -1})
+	got, err := Solve(bg, sk, a, Options{Race: true, UpperBound: want.Cost + 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +309,7 @@ func TestExternalUpperBound(t *testing.T) {
 	// An undercutting (unsound) external bound must be survived via the
 	// unbounded retry, not reported as unsatisfiable.
 	if want.Cost > 1 {
-		got, err = Solve(bg, sk, a, Options{UpperBound: want.Cost - 1, HeuristicRuns: -1})
+		got, err = Solve(bg, sk, a, Options{Race: true, UpperBound: want.Cost - 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,7 +94,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatal("decoded result materializes different ops")
 	}
 	// Work counters are never persisted: a disk hit did no solving.
-	if got.Solves != 0 || got.Encodes != 0 || got.Conflicts != 0 || got.BoundProbes != 0 {
+	if got.SATSolves != 0 || got.SATEncodes != 0 || got.SATConflicts != 0 || got.BoundProbes != 0 {
 		t.Fatalf("decoded result carries work counters: %+v", got)
 	}
 }
@@ -133,8 +133,8 @@ func TestTieredDiskHitPromotesAndZeroCounters(t *testing.T) {
 	if !ok || tier != TierDisk {
 		t.Fatalf("Lookup = ok=%v tier=%q, want disk hit", ok, tier)
 	}
-	if got.Cost != r.Cost || got.Encodes != 0 {
-		t.Fatalf("disk hit cost=%d encodes=%d, want cost=%d encodes=0", got.Cost, got.Encodes, r.Cost)
+	if got.Cost != r.Cost || got.SATEncodes != 0 {
+		t.Fatalf("disk hit cost=%d encodes=%d, want cost=%d encodes=0", got.Cost, got.SATEncodes, r.Cost)
 	}
 	gets := disk.gets
 	if _, tier, ok := cold.Lookup(fp); !ok || tier != TierMemory {
@@ -193,7 +193,7 @@ func TestSolveUsesDiskTier(t *testing.T) {
 	sk := mkSkeleton(4, [2]int{0, 1}, [2]int{2, 3}, [2]int{0, 2}, [2]int{1, 3}, [2]int{0, 3}, [2]int{1, 2})
 	disk := newMapStore()
 
-	first, err := Solve(bg, sk, a, Options{Cache: NewCache(0), Store: disk})
+	first, err := Solve(bg, sk, a, Options{Race: true, Cache: NewCache(0), Store: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSolveUsesDiskTier(t *testing.T) {
 		t.Fatal("solve did not write through to the store")
 	}
 
-	second, err := Solve(bg, sk, a, Options{Cache: NewCache(0), Store: disk})
+	second, err := Solve(bg, sk, a, Options{Race: true, Cache: NewCache(0), Store: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,13 +214,13 @@ func TestSolveUsesDiskTier(t *testing.T) {
 	if second.Cost != first.Cost {
 		t.Fatalf("disk-tier cost %d, solved cost %d", second.Cost, first.Cost)
 	}
-	if second.Encodes != 0 || second.BoundProbes != 0 {
+	if second.SATEncodes != 0 || second.BoundProbes != 0 {
 		t.Fatalf("disk-tier hit carries work counters: %+v", second.Result)
 	}
 
 	// Conflict-budgeted solves bypass both tiers entirely.
 	puts := disk.puts
-	budgeted := Options{Cache: NewCache(0), Store: disk}
+	budgeted := Options{Race: true, Cache: NewCache(0), Store: disk}
 	budgeted.Exact.SAT.MaxConflicts = 1 << 30
 	if _, err := Solve(bg, sk, a, budgeted); err != nil {
 		t.Fatal(err)

@@ -70,8 +70,9 @@ func exactFactory(strategy exact.Strategy, subsets, minimal bool) Factory {
 	}
 }
 
-// exactSolver runs one exact-family method, either directly on the
-// configured engine or through the portfolio layer.
+// exactSolver runs one exact-family method through portfolio.Solve, which
+// owns the result tiers, the optional engine race and the degradation
+// ladder.
 type exactSolver struct {
 	cfg      Config
 	strategy exact.Strategy
@@ -81,116 +82,57 @@ type exactSolver struct {
 
 func (s exactSolver) Solve(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch) (*Plan, error) {
 	start := time.Now()
-	eo := exact.Options{
-		Engine:         s.cfg.Engine,
-		Strategy:       s.strategy,
-		UseSubsets:     s.subsets,
-		SAT:            s.cfg.SAT,
-		InitialMapping: s.cfg.InitialLayout,
-		Parallel:       s.cfg.Parallel,
+	po := portfolio.Options{
+		Exact: exact.Options{
+			Engine:         s.cfg.Engine,
+			Strategy:       s.strategy,
+			UseSubsets:     s.subsets,
+			SAT:            s.cfg.SAT,
+			InitialMapping: s.cfg.InitialLayout,
+			Parallel:       s.cfg.Parallel,
+		},
+		Race:       s.cfg.Portfolio,
+		UpperBound: s.cfg.UpperBound,
+		Seed:       s.cfg.Seed,
+		Store:      s.cfg.Store,
+		Ladder:     s.cfg.Ladder,
 	}
-	if s.cfg.Ladder {
-		// Rung 2 of the degradation ladder: deadline expiry after a model
-		// was found hands back the incumbent instead of erroring.
-		eo.SAT.Anytime = true
+	if s.cfg.Portfolio || s.cfg.Store != nil {
+		// Without the race, the memory tier serves only alongside a
+		// persistent store: a plain exact solve is never memoized.
+		po.Cache = s.cfg.Cache
 	}
-	var er *exact.Result
-	var cacheHit bool
-	var cacheTier string
-	var degradation string
-	if s.cfg.Portfolio {
-		po := portfolio.Options{Exact: eo, Seed: s.cfg.Seed, Cache: s.cfg.Cache, Store: s.cfg.Store, Ladder: s.cfg.Ladder}
-		switch {
-		case s.cfg.UpperBound > 0:
-			po.UpperBound = s.cfg.UpperBound
-			po.HeuristicRuns = -1 // the caller's bound replaces the bounding phase
-		case s.cfg.UpperBound < 0:
-			po.HeuristicRuns = -1 // caller already bounded and found F = 0
-		}
-		pr, err := portfolio.Solve(ctx, sk, a, po)
-		if err != nil {
-			return nil, err
-		}
-		if pr.Heuristic != nil {
-			// The ladder bottomed out in its heuristic rung: no exact
-			// result exists, the plan comes from the heuristic mapper.
-			p := heuristicPlan(pr.Heuristic, NameHeuristic, start)
-			p.Degradation = pr.Degradation
-			return p, nil
-		}
-		er = pr.Result
-		cacheHit = pr.CacheHit
-		cacheTier = pr.Tier
-		degradation = pr.Degradation
-	} else {
-		// Direct engine path. An attached persistent store turns it into the
-		// same two-tier lookup the portfolio uses — memory, then disk with
-		// LRU promotion, then a real solve written through — gated on the
-		// store so the historical no-store behavior (no caching outside
-		// Portfolio mode) is untouched. Conflict-budgeted runs may be
-		// non-minimal best-effort answers and bypass the cache entirely.
-		tiers := portfolio.Tiered{Mem: s.cfg.Cache, Disk: s.cfg.Store}
-		cacheable := s.cfg.Store != nil && s.cfg.SAT.MaxConflicts == 0
-		var key string
-		if cacheable {
-			key = portfolio.Fingerprint(sk, a, eo)
-			if cached, tier, ok := tiers.Lookup(key); ok {
-				er, cacheHit, cacheTier = cached, true, tier
-			}
-		}
-		if er == nil {
-			var err error
-			if er, err = exact.Solve(ctx, sk, a, eo); err != nil {
-				if s.cfg.Ladder && portfolio.Exhausted(err) {
-					// Last rung: the descent exhausted without even an
-					// incumbent — build a heuristic plan rather than fail.
-					if h, herr := portfolio.HeuristicFallback(ctx, sk, a, s.cfg.Seed, s.cfg.InitialLayout); herr == nil {
-						p := heuristicPlan(h, NameHeuristic, start)
-						p.Degradation = portfolio.DegradationHeuristic
-						return p, nil
-					}
-				}
-				return nil, err
-			}
-			if er.Degraded {
-				degradation = portfolio.DegradationAnytime
-			}
-			if cacheable && !er.Degraded {
-				// An anytime incumbent is valid but non-minimal: never let
-				// it be read back later as the instance's optimum.
-				tiers.Store(key, er)
-			}
-		}
+	pr, err := portfolio.Solve(ctx, sk, a, po)
+	if err != nil {
+		return nil, err
 	}
+	if pr.Heuristic != nil {
+		// The ladder bottomed out in its heuristic rung: no exact result
+		// exists, the plan comes from the heuristic mapper.
+		p := heuristicPlan(pr.Heuristic, NameHeuristic, start)
+		p.Degradation = pr.Degradation
+		return p, nil
+	}
+	er := pr.Result
 	ops, err := er.Ops(sk)
 	if err != nil {
 		return nil, err
 	}
 	return &Plan{
-		Ops:                   ops,
-		Initial:               er.InitialMapping(),
-		Cost:                  er.Cost,
-		Swaps:                 er.Solution.SwapCount(),
-		Switches:              er.Solution.SwitchCount(),
-		PermPoints:            er.PermPoints,
-		Minimal:               s.minimal && er.Minimal,
-		Engine:                er.Engine,
-		CacheHit:              cacheHit,
-		CacheTier:             cacheTier,
-		SATSolves:             er.Solves,
-		SATEncodes:            er.Encodes,
-		SATConflicts:          er.Conflicts,
-		BoundProbes:           er.BoundProbes,
-		BoundJumps:            er.BoundJumps,
-		LowerBound:            er.LowerBound,
-		SubsetsPruned:         er.SubsetsPruned,
-		CoreFamilyRefutations: er.CoreFamilyRefutations,
-		OrbitHits:             er.OrbitHits,
-		SATThreads:            er.SATThreads,
-		SharedClauses:         er.SharedClauses,
-		Degradation:           degradation,
-		BoundGap:              er.BoundGap,
-		Runtime:               time.Since(start),
+		Ops:         ops,
+		Initial:     er.InitialMapping(),
+		Cost:        er.Cost,
+		Swaps:       er.Solution.SwapCount(),
+		Switches:    er.Solution.SwitchCount(),
+		PermPoints:  er.PermPoints,
+		Minimal:     s.minimal && er.Minimal,
+		Engine:      er.Engine,
+		CacheHit:    pr.CacheHit,
+		CacheTier:   pr.Tier,
+		Counters:    er.Counters,
+		Degradation: pr.Degradation,
+		BoundGap:    er.BoundGap,
+		Runtime:     time.Since(start),
 	}, nil
 }
 

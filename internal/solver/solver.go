@@ -21,6 +21,13 @@
 // honor and reject combinations they cannot (e.g. sabre with a pinned
 // initial layout).
 //
+// The exact family has one solve path: every exact method hands its
+// instance to portfolio.Solve, which owns the result tiers (Cache over an
+// optional persistent Store), the degradation ladder and the rule that
+// degraded or conflict-budgeted answers are never cached.
+// Config.Portfolio only turns on the SAT/DP race inside that call; without
+// it the configured Engine runs alone.
+//
 // All solvers are safe for concurrent use by multiple goroutines: a Solver
 // value holds only immutable configuration, so one instance may serve a
 // whole worker pool (qxmap.MapBatch relies on this).
@@ -49,7 +56,7 @@ type Solver interface {
 // applies only to the selected method.
 type Config struct {
 	// Engine selects the exact backend (default exact.EngineSAT); ignored
-	// by the heuristic family and by Portfolio mode (which races both).
+	// by the heuristic family and when Portfolio races both engines.
 	Engine exact.Engine
 	// SAT carries SAT-engine tuning (start bound, descent mode, conflict
 	// budget); exact family only.
@@ -67,25 +74,24 @@ type Config struct {
 	InitialLayout []int
 	// Parallel fans the §4.1 subset instances out across goroutines.
 	Parallel bool
-	// Portfolio routes exact methods through internal/portfolio: the
-	// stochastic heuristic bounds the SAT descent, the SAT and DP engines
-	// race, and results are memoized in Cache. Heuristic methods ignore it.
+	// Portfolio turns on the engine race of internal/portfolio for the
+	// exact family: the stochastic heuristic bounds the SAT descent, the
+	// SAT and DP engines race, and results are memoized in Cache.
+	// Heuristic methods ignore it.
 	Portfolio bool
-	// Cache is the portfolio memo consulted when Portfolio is set; nil
-	// disables memoization.
+	// Cache is the memory tier of the exact family's result cache. It
+	// serves when Portfolio is set or a Store is attached; a plain exact
+	// solve without either is never memoized. nil disables the tier.
 	Cache *portfolio.Cache
-	// Store is the persistent result tier under the Cache. When set, the
-	// exact family consults it even outside Portfolio mode — memory hit →
-	// disk hit (promoted into the Cache) → solve → write-through — so
-	// identical instances are served across process restarts. Results with
-	// a conflict budget (possibly non-minimal) are never stored.
+	// Store is the persistent result tier under the Cache: memory hit →
+	// disk hit (promoted into the Cache) → solve → write-through, so
+	// identical instances are served across process restarts.
 	Store portfolio.ResultStore
 	// UpperBound, when positive, is an externally known bound on F handed
-	// to the portfolio layer in place of its own bounding phase; a
-	// negative value records that the caller already bounded the instance
-	// and found F = 0 (no seedable bound, but the bounding phase is still
-	// skipped). Zero leaves the portfolio's own bounding enabled.
-	// Portfolio mode only.
+	// to the race in place of its own bounding phase; a negative value
+	// records that the caller already bounded the instance and found
+	// F = 0 (no seedable bound, but the bounding phase is still skipped).
+	// Zero leaves the race's own bounding enabled. Portfolio mode only.
 	UpperBound int
 	// Ladder enables graceful degradation for the exact family: the SAT
 	// descent runs in anytime mode (a deadline that expires after a model
@@ -95,7 +101,8 @@ type Config struct {
 	// conflict-budget exhaustion, a heuristic fallback plan is built
 	// (Plan.Degradation "heuristic"). With generous deadlines the ladder
 	// never engages and plans are identical to a run without it. Degraded
-	// plans are never cached. Heuristic methods ignore it.
+	// plans, like plans of runs with a conflict budget, are never cached.
+	// Heuristic methods ignore it.
 	Ladder bool
 }
 
@@ -129,36 +136,9 @@ type Plan struct {
 	// portfolio.TierDisk; "" when the plan was solved).
 	CacheHit  bool
 	CacheTier string
-	// SATSolves, SATEncodes and SATConflicts count CDCL invocations,
-	// CNF encodings and conflicts (SAT engine only; 0 otherwise). The
-	// incremental descent encodes once per instance, so SATEncodes is 1
-	// for a plain exact solve and one per solved subset under §4.1.
-	SATSolves    int
-	SATEncodes   int
-	SATConflicts int64
-	// BoundProbes and BoundJumps instrument the SAT descent: probes are
-	// solver calls that tested a cost bound via guard assumptions, jumps
-	// are UNSAT probes whose minimized assumption core refuted a looser
-	// bound than the tightest assumed, skipping several descent steps.
-	BoundProbes int
-	BoundJumps  int
-	// LowerBound is the admissible lower bound on F that seeded the SAT
-	// descent (0 when disabled, trivial, or not a SAT run).
-	LowerBound int
-	// SubsetsPruned, CoreFamilyRefutations and OrbitHits instrument the
-	// §4.1 subset fan-out: subsets retired by their admissible lower bound
-	// without any probe of their own, UNSAT probes whose assumption core
-	// refuted the whole pending subset family at once, and subsets whose
-	// proof was transferred from their coupling-graph automorphism orbit's
-	// representative. All 0 outside the subset fan-out.
-	SubsetsPruned         int
-	CoreFamilyRefutations int
-	OrbitHits             int
-	// SATThreads is the clause-sharing portfolio width the SAT engine ran
-	// with (1 for the plain solver; 0 when not a SAT run), and
-	// SharedClauses the learnt clauses imported across its workers.
-	SATThreads    int
-	SharedClauses int64
+	// Counters is the exact engine's work record (zero for heuristic
+	// plans and for disk-tier cache hits).
+	exact.Counters
 	// Degradation names the ladder rung that produced the plan when
 	// Config.Ladder degraded the solve: portfolio.DegradationAnytime for
 	// a deadline-truncated descent's incumbent,

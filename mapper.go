@@ -122,8 +122,8 @@ func WithEngine(e Engine) Option {
 	}
 }
 
-// WithPortfolio routes exact methods through the portfolio layer by
-// default: heuristic bound seeding, SAT/DP racing and memoization in the
+// WithPortfolio turns on the engine race for exact methods by default:
+// heuristic bound seeding, SAT/DP racing and memoization in the
 // instance's own cache (see WithCacheSize).
 func WithPortfolio(on bool) Option {
 	return func(c *mapperConfig) error {

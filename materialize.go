@@ -39,6 +39,22 @@ func materialize(orig *Circuit, sk *circuit.Skeleton, a *arch.Arch,
 		}
 		return nil
 	}
+	// emitSwap expands SWAP(a,b) into CNOT(a,b)·CNOT(b,a)·CNOT(a,b),
+	// oriented so the two outer CNOTs run natively: on a one-direction
+	// edge only the middle CNOT needs the 4-H fix, 7 gates in all.
+	emitSwap := func(op circuit.MappedOp) error {
+		p, q := op.A, op.B
+		if !a.Allows(p, q) {
+			p, q = q, p
+		}
+		for _, c := range [3][2]int{{p, q}, {q, p}, {p, q}} {
+			if err := emitCNOT(c[0], c[1]); err != nil {
+				return err
+			}
+		}
+		mp = mp.ApplySwap(p, q)
+		return nil
+	}
 
 	for origIdx, g := range orig.Gates() {
 		if g.Kind.IsSingleQubit() {
@@ -53,20 +69,10 @@ func materialize(orig *Circuit, sk *circuit.Skeleton, a *arch.Arch,
 			return nil, nil, fmt.Errorf("qxmap: internal error: gate %d is not the expected skeleton gate", origIdx)
 		}
 		for opIdx < len(ops) && ops[opIdx].Swap {
-			op := ops[opIdx]
+			if err := emitSwap(ops[opIdx]); err != nil {
+				return nil, nil, err
+			}
 			opIdx++
-			// SWAP(a,b) = CNOT·CNOT·CNOT with the middle one reversed;
-			// emitCNOT inserts H fixes as dictated by the coupling map.
-			if err := emitCNOT(op.A, op.B); err != nil {
-				return nil, nil, err
-			}
-			if err := emitCNOT(op.B, op.A); err != nil {
-				return nil, nil, err
-			}
-			if err := emitCNOT(op.A, op.B); err != nil {
-				return nil, nil, err
-			}
-			mp = mp.ApplySwap(op.A, op.B)
 		}
 		if opIdx >= len(ops) {
 			return nil, nil, fmt.Errorf("qxmap: internal error: op stream exhausted at gate %d", origIdx)
@@ -87,22 +93,13 @@ func materialize(orig *Circuit, sk *circuit.Skeleton, a *arch.Arch,
 	}
 	// Trailing SWAP ops (possible when a permutation point coincides with
 	// the end; normally absent because they would be pure overhead).
-	for opIdx < len(ops) {
-		op := ops[opIdx]
-		opIdx++
-		if !op.Swap {
+	for ; opIdx < len(ops); opIdx++ {
+		if !ops[opIdx].Swap {
 			return nil, nil, fmt.Errorf("qxmap: internal error: unconsumed CNOT op")
 		}
-		if err := emitCNOT(op.A, op.B); err != nil {
+		if err := emitSwap(ops[opIdx]); err != nil {
 			return nil, nil, err
 		}
-		if err := emitCNOT(op.B, op.A); err != nil {
-			return nil, nil, err
-		}
-		if err := emitCNOT(op.A, op.B); err != nil {
-			return nil, nil, err
-		}
-		mp = mp.ApplySwap(op.A, op.B)
 	}
 	return out, mp, nil
 }

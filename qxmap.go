@@ -57,27 +57,30 @@
 //
 // # Portfolio solving
 //
-// Options{Portfolio: true} routes the exact methods through the portfolio
-// layer (internal/portfolio): the stochastic heuristic first derives a
-// cheap upper bound that seeds the SAT engine's cost descent, then the SAT
-// and DP engines race concurrently — the first valid minimal result wins
-// and the loser is cancelled. Results are memoized in the Mapper
-// instance's LRU cache keyed by a canonical hash of (skeleton,
-// architecture, strategy), so repeated Map calls on identical instances
-// return immediately (Result.CacheHit reports this). The winning backend
-// is echoed in Result.Engine. Two Mapper instances never share cache
-// entries; the package-level wrappers all share the default instance's
-// cache.
+// Every exact method runs through one solve path (internal/portfolio),
+// which owns the result cache and the degradation ladder.
+// Options{Portfolio: true} turns on its engine race: the stochastic
+// heuristic first derives a cheap upper bound that seeds the SAT engine's
+// cost descent, then the SAT and DP engines race concurrently — the first
+// valid minimal result wins and the loser is cancelled. Results are
+// memoized in the Mapper instance's LRU cache keyed by a canonical hash of
+// (skeleton, architecture, strategy), so repeated Map calls on identical
+// instances return immediately (Result.CacheHit reports this). Without
+// the race, exact results are memoized only when the Mapper has a
+// persistent store (WithStore). The winning backend is echoed in
+// Result.Engine. Two Mapper instances never share cache entries; the
+// package-level wrappers all share the default instance's cache.
 //
 // # Context and cancellation
 //
 // MapContext threads a context.Context through the whole solve stack: the
-// symbolic encoder, the CDCL solver (checked at every restart boundary),
-// the DP engine (checked at every frame transition), the §4.1 parallel
-// subset fan-out, and the heuristic mappers (checked between layers,
-// restarts and SABRE passes). Cancelling the context — or exceeding a
-// deadline set with context.WithTimeout — aborts a solve promptly and
-// returns an error wrapping ctx.Err(). Map is shorthand for
+// symbolic encoder, the CDCL solver (polled every
+// sat.Options.CtxPollConflicts conflicts, 256 by default, and at every
+// restart), the DP engine (checked at every frame transition), the §4.1
+// parallel subset fan-out, and the heuristic mappers (checked between
+// layers, restarts and SABRE passes). Cancelling the context — or
+// exceeding a deadline set with context.WithTimeout — aborts a solve
+// promptly and returns an error wrapping ctx.Err(). Map is shorthand for
 // MapContext(context.Background(), …).
 package qxmap
 
@@ -264,13 +267,13 @@ type Options struct {
 	// cost model deliberately excludes this step (§3, footnote 2) — but
 	// the returned Mapped circuit is the optimized one, still verified.
 	Optimize bool
-	// Portfolio routes exact methods through the portfolio layer: the
+	// Portfolio turns on the engine race for exact methods: the
 	// stochastic heuristic seeds the SAT descent with an upper bound, the
 	// SAT and DP engines race with first-valid-minimal-wins semantics, and
 	// results are memoized in the Mapper instance's LRU cache (the default
-	// instance's cache for the package-level wrappers). The Engine option
-	// is then ignored (the winning engine is reported in Result.Engine);
-	// heuristic methods are unaffected.
+	// instance's cache for the package-level wrappers) even without a
+	// store. The Engine option is then ignored (the winning engine is
+	// reported in Result.Engine); heuristic methods are unaffected.
 	Portfolio bool
 	// CostModel replaces the paper's uniform 7/4 objective with a weighted
 	// one: per-edge SWAP weights and per-direction switch weights (e.g.
@@ -296,74 +299,49 @@ type Options struct {
 }
 
 // Stats instruments one trip through the mapping pipeline: a wall-clock
-// duration per stage plus solver-level counters.
+// duration per stage plus solver-level counters. Its JSON encoding is the
+// stable "stats" block of the wire format: durations as integer
+// nanoseconds (the _ns fields), the solver counters flattened in.
 type Stats struct {
 	// SkeletonTime is stage 1: CNOT-skeleton extraction and validation.
-	SkeletonTime time.Duration
+	SkeletonTime time.Duration `json:"skeleton_ns"`
 	// SolveTime is stage 2: the registry-resolved solver run.
-	SolveTime time.Duration
+	SolveTime time.Duration `json:"solve_ns"`
 	// MaterializeTime is stage 3: expanding the op stream into gates.
-	MaterializeTime time.Duration
+	MaterializeTime time.Duration `json:"materialize_ns"`
 	// VerifyTime is stage 4 (and the post-optimize re-check of stage 5):
 	// structural, GF(2) and small-instance unitary verification.
-	VerifyTime time.Duration
+	VerifyTime time.Duration `json:"verify_ns"`
 	// OptimizeTime is stage 5: peephole optimization (when enabled).
-	OptimizeTime time.Duration
+	OptimizeTime time.Duration `json:"optimize_ns"`
 	// Solver is the registry name the solve stage resolved ("exact",
 	// "sabre", …; "none" for circuits without CNOTs).
-	Solver string
+	Solver string `json:"solver"`
 	// Engine is the backend provenance reported by the solver: "sat" or
 	// "dp" for exact methods (round-tripping with ParseEngine), the
 	// method name for heuristics.
-	Engine string
+	Engine string `json:"engine"`
 	// CacheHit mirrors Result.CacheHit; CacheTier names the tier that
 	// served the hit ("memory" for the in-process LRU, "disk" for the
 	// persistent store; empty when the instance was solved).
-	CacheHit  bool
-	CacheTier string
-	// SATSolves, SATEncodes and SATConflicts count CDCL invocations, CNF
-	// encodings and conflicts across the solve (SAT engine only). The
-	// incremental descent encodes each instance exactly once, whatever the
-	// number of bound probes, so SATEncodes is 1 for a plain exact solve
-	// (one per solved subset under §4.1) — a regression here means the
-	// engine fell back to re-encoding.
-	SATSolves    int
-	SATEncodes   int
-	SATConflicts int64
-	// BoundProbes and BoundJumps instrument the SAT descent: probes are
-	// solver calls that tested a cost bound via guard assumptions; jumps
-	// are UNSAT probes whose minimized assumption core refuted a looser
-	// bound than the tightest assumed, letting one call skip several
-	// descent steps.
-	BoundProbes int
-	BoundJumps  int
-	// LowerBound is the admissible lower bound on F (from the
-	// coupling-graph distance sum) that seeded the SAT descent; 0 when
-	// trivial, disabled via Options.SATNoLowerBound, or not a SAT run.
-	LowerBound int
-	// SubsetsPruned, CoreFamilyRefutations and OrbitHits instrument the
-	// §4.1 subset fan-out: subsets retired by their admissible lower bound
-	// without any solver probe of their own, UNSAT probes whose assumption
-	// core refuted the whole pending subset family at once, and subsets
-	// whose proof was transferred from their coupling-graph automorphism
-	// orbit's representative (symmetric architectures only). All 0 outside
-	// the subset fan-out.
-	SubsetsPruned         int
-	CoreFamilyRefutations int
-	OrbitHits             int
-	// SATThreads is the portfolio width the SAT engine solved with (1 for
-	// the plain solver, 0 when not a SAT run); SharedClauses counts learnt
-	// clauses imported across the portfolio's workers (0 when SATThreads
-	// ≤ 1).
-	SATThreads    int
-	SharedClauses int64
+	CacheHit  bool   `json:"cache_hit"`
+	CacheTier string `json:"cache_tier"`
+	// Counters are the exact engine's work counters — SATSolves,
+	// SATEncodes, SATConflicts, BoundProbes, BoundJumps, LowerBound (the
+	// admissible seed; 0 under Options.SATNoLowerBound), the §4.1 fan-out
+	// counters SubsetsPruned, CoreFamilyRefutations and OrbitHits, and the
+	// clause-sharing SATThreads and SharedClauses — promoted as fields of
+	// Stats. A SATEncodes other than 1 on a SAT solve means the
+	// incremental descent fell back to re-encoding.
+	exact.Counters
 	// Degradation names the ladder rung that produced the plan when
 	// Options.Ladder degraded the solve ("anytime" or "heuristic"; ""
 	// for a full solve), and BoundGap brackets an anytime plan's
 	// distance from the optimum: the true minimum lies in
-	// [Cost−BoundGap, Cost]. Both zero-valued on the happy path.
-	Degradation string
-	BoundGap    int
+	// [Cost−BoundGap, Cost]. Both are omitted from the wire encoding on
+	// full solves, so happy-path encodings stay byte-identical.
+	Degradation string `json:"degradation,omitempty"`
+	BoundGap    int    `json:"bound_gap,omitempty"`
 }
 
 // Result is the outcome of a Map call.
@@ -526,17 +504,7 @@ func (m *Mapper) runPipeline(ctx context.Context, c *Circuit, a *Architecture, o
 	res.Stats.Engine = plan.Engine
 	res.Stats.CacheHit = plan.CacheHit
 	res.Stats.CacheTier = plan.CacheTier
-	res.Stats.SATSolves = plan.SATSolves
-	res.Stats.SATEncodes = plan.SATEncodes
-	res.Stats.SATConflicts = plan.SATConflicts
-	res.Stats.BoundProbes = plan.BoundProbes
-	res.Stats.BoundJumps = plan.BoundJumps
-	res.Stats.LowerBound = plan.LowerBound
-	res.Stats.SubsetsPruned = plan.SubsetsPruned
-	res.Stats.CoreFamilyRefutations = plan.CoreFamilyRefutations
-	res.Stats.OrbitHits = plan.OrbitHits
-	res.Stats.SATThreads = plan.SATThreads
-	res.Stats.SharedClauses = plan.SharedClauses
+	res.Stats.Counters = plan.Counters
 	res.Stats.Degradation = plan.Degradation
 	res.Stats.BoundGap = plan.BoundGap
 	if e, err := ParseEngine(plan.Engine); err == nil {
@@ -625,8 +593,8 @@ func (m *Mapper) solvePlan(ctx context.Context, sk *circuit.Skeleton, a *arch.Ar
 		Ladder:        opts.Ladder,
 	}
 	// The nil check matters: assigning a nil *store.Store into the
-	// interface field would make it non-nil and flip the exact family's
-	// direct path into caching mode.
+	// interface field would make it non-nil and switch on caching for
+	// exact solves without the race.
 	if m.store != nil {
 		cfg.Store = m.store
 	}
