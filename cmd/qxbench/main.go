@@ -10,8 +10,9 @@
 // (costs, encode/probe/conflict counters, solve times) on stdout, and
 // -baseline compares the run against a committed snapshot, failing on an
 // encode-count regression (sat_encodes ≠ 1), a bound-probe count above the
-// recorded baseline, a cost change, or a lost minimality proof — the CI
-// bench smoke gate.
+// recorded baseline, a cost change, a lost minimality proof, or a
+// single-thread row's SAT conflict count differing from the recorded one
+// (that search is deterministic) — the CI bench smoke gate.
 //
 // Usage:
 //
@@ -325,7 +326,7 @@ func runBatch(ctx context.Context, a *arch.Arch, cfg batchConfig) {
 		if err := compareBaseline(snap, cfg.baseline); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "qxbench: baseline %s: no encode, probe or cost regressions\n", cfg.baseline)
+		fmt.Fprintf(os.Stderr, "qxbench: baseline %s: no encode, probe, conflict or cost regressions\n", cfg.baseline)
 	}
 	if cfg.probeBudget != "" {
 		if err := compareProbeBudget(snap, cfg.probeBudget); err != nil {
@@ -344,7 +345,11 @@ func runBatch(ctx context.Context, a *arch.Arch, cfg batchConfig) {
 // report sat_encodes == 1 per solved instance (the incremental-descent
 // invariant for the plain exact method), a bound-probe count no higher
 // than the baseline's, an identical cost, and no lost minimality proof (a
-// row the baseline proved minimal must stay proven).
+// row the baseline proved minimal must stay proven). A row that ran with
+// sat_threads 1, as its baseline row did, must also reproduce the recorded
+// sat_conflicts exactly: the single-thread search is deterministic, so any
+// other count means the search changed, and a change that does so on
+// purpose commits a new snapshot with it.
 func compareBaseline(snap batchSnapshot, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -374,6 +379,9 @@ func compareBaseline(snap batchSnapshot, path string) error {
 		}
 		if r.Cost != b.Cost {
 			return fmt.Errorf("baseline regression: %s cost %d, baseline %d", b.Name, r.Cost, b.Cost)
+		}
+		if r.Stats.SATThreads == 1 && b.Stats.SATThreads == 1 && r.Stats.SATConflicts != b.Stats.SATConflicts {
+			return fmt.Errorf("baseline regression: %s spent %d SAT conflicts, baseline %d (the single-thread search changed)", b.Name, r.Stats.SATConflicts, b.Stats.SATConflicts)
 		}
 		if b.Minimal && !r.Minimal {
 			return fmt.Errorf("baseline regression: %s lost its minimality proof (baseline proved minimal)", b.Name)

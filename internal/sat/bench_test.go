@@ -22,16 +22,7 @@ func BenchmarkIncrementalAssumptions(b *testing.B) {
 	const pigeons, holes = 7, 9
 	for i := 0; i < b.N; i++ {
 		s := NewSolver()
-		pigeonhole(s, pigeons, holes)
-		guards := newVars(s, holes)
-		for h := 0; h < holes; h++ {
-			// Guard h forbids hole h for every pigeon, so assuming the first
-			// k guards shrinks the instance to PHP(7, 9−k) — the descending
-			// bound-probe pattern of the exact engine.
-			for p := 0; p < pigeons; p++ {
-				s.AddClause(guards[h].Neg(), Var(p*holes+h).Neg())
-			}
-		}
+		guards := guardedPigeonhole(s, pigeons, holes)
 		var assumptions []Lit
 		for k := 1; k <= 3; k++ {
 			assumptions = append(assumptions, guards[k-1].Pos())

@@ -4,6 +4,20 @@
 // restarts, learnt-clause database reduction, and incremental solving under
 // assumptions.
 //
+// The hot path is built to do little besides the search: clauses live in
+// one flat arena, literal values in a per-literal table (one load per
+// value, no polarity decoding), watch lists are compacted in place, and
+// conflict analysis and clause intake work in solver-owned scratch slices
+// instead of allocating per conflict or per clause.
+//
+// Search identity: a change to how the solver runs must not change what it
+// does — the same decisions, propagations, conflicts, learnt clauses,
+// models and cores on every input and option profile. TestSearchGolden
+// pins the full Snapshot and the verdict, model or core on fixed instances,
+// and the CI baseline gates (qxbench -baseline) require each single-thread
+// row to reproduce its committed sat_conflicts. A change that alters the
+// search on purpose updates both records with it.
+//
 // It is the "reasoning engine" of the paper (which used Z3): the symbolic
 // mapping formulation of paper §3.2 is encoded to CNF by internal/cnf and
 // internal/encoder, and minimized by iteratively tightening a cost bound
@@ -64,24 +78,6 @@ const (
 	lTrue
 	lFalse
 )
-
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
-
-// litValue computes the value of a literal given its variable's value.
-func litValue(assign lbool, l Lit) lbool {
-	if assign == lUndef {
-		return lUndef
-	}
-	if l.IsPos() == (assign == lTrue) {
-		return lTrue
-	}
-	return lFalse
-}
 
 // Status is the result of a Solve call.
 type Status int

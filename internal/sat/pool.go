@@ -350,7 +350,8 @@ func (p *Pool) Snapshot() Stats {
 }
 
 // clone deep-copies the solver's state — arena, clause lists, watch lists,
-// assignment trail, activities — into a fresh solver configured by opts.
+// value table, assignment trail, activities — into a fresh solver
+// configured by opts.
 // The receiver must be at decision level 0 (i.e. outside Solve).
 func (s *Solver) clone(opts Options) *Solver {
 	n := New(opts)
@@ -362,7 +363,7 @@ func (s *Solver) clone(opts Options) *Solver {
 	for i, ws := range s.watches {
 		n.watches[i] = append([]watcher(nil), ws...)
 	}
-	n.assigns = append([]lbool(nil), s.assigns...)
+	n.vals = append([]lbool(nil), s.vals...)
 	n.polarity = append([]bool(nil), s.polarity...)
 	n.reason = append([]ClauseRef(nil), s.reason...)
 	n.level = append([]int32(nil), s.level...)
@@ -373,7 +374,7 @@ func (s *Solver) clone(opts Options) *Solver {
 	n.varInc, n.claInc = s.varInc, s.claInc
 	n.unsat = s.unsat
 	for v := 0; v < n.NumVars(); v++ {
-		if n.assigns[v] == lUndef {
+		if n.vals[Var(v).Pos()] == lUndef {
 			n.order.push(Var(v))
 		}
 	}

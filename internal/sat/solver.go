@@ -2,6 +2,7 @@ package sat
 
 import (
 	"context"
+	"slices"
 	"sort"
 )
 
@@ -70,7 +71,10 @@ type Solver struct {
 	learnts []ClauseRef
 	watches [][]watcher
 
-	assigns  []lbool
+	// vals holds the current value of every literal, indexed by Lit:
+	// assigning a variable writes both of its literals, so the hot loops
+	// read a literal's value with one load and no polarity decoding.
+	vals     []lbool
 	polarity []bool // saved phase per variable
 	reason   []ClauseRef
 	level    []int32
@@ -89,8 +93,15 @@ type Solver struct {
 	levelMark []int64
 	lbdStamp  int64
 
+	// Scratch slices reused by analyze (learntBuf, clearBuf) and by the
+	// clause intake (addBuf, for AddClause and addImported). The arena and
+	// the export hook copy whatever must outlive the call.
+	learntBuf []Lit
+	clearBuf  []Lit
+	addBuf    []Lit
+
 	unsat bool    // empty clause derived at level 0
-	model []lbool // last satisfying assignment
+	model []lbool // last satisfying assignment, per literal like vals
 
 	// unsatAssumptions / failedAssumption record why the last Solve
 	// returned Unsat: a falsified assumption literal (and which one), or
@@ -129,15 +140,15 @@ func NewSolver() *Solver { return New(Options{}) }
 func (s *Solver) Snapshot() Stats { return s.stats }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NumClauses returns the number of problem (non-learnt) clauses.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assigns))
-	s.assigns = append(s.assigns, lUndef)
+	v := Var(s.NumVars())
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.polarity = append(s.polarity, false)
 	s.reason = append(s.reason, NilRef)
 	s.level = append(s.level, 0)
@@ -148,15 +159,15 @@ func (s *Solver) NewVar() Var {
 	return v
 }
 
-func (s *Solver) value(l Lit) lbool { return litValue(s.assigns[l.Var()], l) }
+func (s *Solver) value(l Lit) lbool { return s.vals[l] }
 
 // Value returns the model value of v after a Sat result. Variables created
 // after the last Solve report false.
 func (s *Solver) Value(v Var) bool {
-	if int(v) >= len(s.model) {
+	if int(v.Pos()) >= len(s.model) {
 		return false
 	}
-	return s.model[v] == lTrue
+	return s.model[v.Pos()] == lTrue
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
@@ -172,8 +183,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	s.cancelUntil(0)
 	// Normalize: sort, dedupe, drop false literals, detect tautology and
 	// satisfied clauses.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = LitUndef
 	for _, l := range ls {
@@ -236,7 +248,8 @@ func (s *Solver) detachClause(c ClauseRef) {
 // enqueue assigns literal l (making it true) with the given reason clause.
 func (s *Solver) enqueue(l Lit, from ClauseRef) {
 	v := l.Var()
-	s.assigns[v] = boolToLbool(l.IsPos())
+	s.vals[l] = lTrue
+	s.vals[l.Not()] = lFalse
 	s.polarity[v] = l.IsPos()
 	s.reason[v] = from
 	s.level[v] = int32(s.decisionLevel())
@@ -245,7 +258,16 @@ func (s *Solver) enqueue(l Lit, from ClauseRef) {
 
 // propagate performs unit propagation over the two-watched-literal scheme.
 // It returns a conflicting clause ref, or NilRef if no conflict occurred.
+//
+// Each watch list is compacted in place: watchers that stay are written
+// back at index j ≤ i, in their original order, and a watcher that moves
+// goes to another literal's list (never the one being scanned, because its
+// new literal is not false while ¬p is).
 func (s *Solver) propagate() ClauseRef {
+	// Propagation never resizes the value table or the arena slab (enqueue
+	// only writes values; clauses are allocated by the callers), so both
+	// are read through locals.
+	vals, data := s.vals, s.ca.data
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p became true; the literal ¬p is now false
 		s.qhead++
@@ -254,52 +276,51 @@ func (s *Solver) propagate() ClauseRef {
 		// Clauses watching a literal w live in watches[w.Not()], so the
 		// clauses watching ¬p are found under watches[p].
 		ws := s.watches[p]
-		kept := ws[:0]
+		i, j := 0, 0
 		confl := NilRef
-		for wi := 0; wi < len(ws); wi++ {
-			w := ws[wi]
-			if s.value(w.blocker) == lTrue {
-				kept = append(kept, w)
+	watchers:
+		for i < len(ws) {
+			w := ws[i]
+			i++
+			if vals[w.blocker] == lTrue {
+				ws[j] = w
+				j++
 				continue
 			}
 			c := w.ref
-			ls := s.ca.lits(c)
+			start := int(c) + headerWords
+			ls := data[start : start+int(data[c])>>flagBits]
 			// Ensure the falsified literal is at position 1.
 			if ls[0] == falseLit {
 				ls[0], ls[1] = ls[1], ls[0]
 			}
 			first := ls[0]
-			if first != w.blocker && s.value(first) == lTrue {
-				kept = append(kept, watcher{c, first})
+			if first != w.blocker && vals[first] == lTrue {
+				ws[j] = watcher{c, first}
+				j++
 				continue
 			}
 			// Look for a new literal to watch.
-			found := false
 			for k := 2; k < len(ls); k++ {
-				if s.value(ls[k]) != lFalse {
+				if vals[ls[k]] != lFalse {
 					ls[1], ls[k] = ls[k], ls[1]
 					s.watches[ls[1].Not()] = append(s.watches[ls[1].Not()], watcher{c, first})
-					found = true
-					break
+					continue watchers
 				}
-			}
-			if found {
-				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{c, first})
-			if s.value(first) == lFalse {
+			ws[j] = watcher{c, first}
+			j++
+			if vals[first] == lFalse {
 				confl = c
-				// Copy remaining watchers and stop propagating.
-				for wi++; wi < len(ws); wi++ {
-					kept = append(kept, ws[wi])
-				}
+				// Keep the remaining watchers and stop propagating.
+				j += copy(ws[j:], ws[i:])
 				s.qhead = len(s.trail)
 				break
 			}
 			s.enqueue(first, c)
 		}
-		s.watches[p] = kept
+		s.watches[p] = ws[:j]
 		if confl != NilRef {
 			return confl
 		}
@@ -315,8 +336,10 @@ func (s *Solver) cancelUntil(lvl int) {
 	}
 	limit := s.trailLim[lvl]
 	for i := len(s.trail) - 1; i >= limit; i-- {
-		v := s.trail[i].Var()
-		s.assigns[v] = lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.vals[l] = lUndef
+		s.vals[l.Not()] = lUndef
 		s.reason[v] = NilRef
 		s.order.push(v)
 	}
@@ -381,12 +404,14 @@ func (s *Solver) clauseLBD(lits []Lit) int {
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
 // (asserting literal first), the backtrack level, and the clause's LBD
-// (computed here, while every literal is still assigned).
+// (computed here, while every literal is still assigned). The clause is the
+// solver's scratch slice, valid until the next conflict.
 func (s *Solver) analyze(confl ClauseRef) ([]Lit, int, int) {
-	learnt := []Lit{LitUndef} // slot 0 for the asserting literal
+	learnt := append(s.learntBuf[:0], LitUndef) // slot 0 for the asserting literal
 	pathC := 0
 	p := LitUndef
 	index := len(s.trail) - 1
+	dl := int32(s.decisionLevel())
 	for {
 		ls := s.ca.lits(confl)
 		if s.ca.learnt(confl) {
@@ -409,7 +434,7 @@ func (s *Solver) analyze(confl ClauseRef) ([]Lit, int, int) {
 			if s.seen[v] == 0 && s.level[v] > 0 {
 				s.bumpVar(v)
 				s.seen[v] = 1
-				if int(s.level[v]) == s.decisionLevel() {
+				if s.level[v] == dl {
 					pathC++
 				} else {
 					learnt = append(learnt, q)
@@ -430,11 +455,13 @@ func (s *Solver) analyze(confl ClauseRef) ([]Lit, int, int) {
 		}
 	}
 	learnt[0] = p.Not()
+	s.learntBuf = learnt
 
 	// Clause minimization: drop literals whose reason is subsumed by the
 	// remaining learnt clause (simple non-recursive check). Keep the full
 	// pre-minimization list so every seen flag is cleared afterwards.
-	toClear := append([]Lit(nil), learnt...)
+	toClear := append(s.clearBuf[:0], learnt...)
+	s.clearBuf = toClear
 	minimized := learnt[:1]
 	for _, q := range learnt[1:] {
 		if !s.litRedundant(q) {
@@ -629,15 +656,15 @@ func (s *Solver) garbageCollect() {
 func (s *Solver) pickBranchVar() Var {
 	if s.opts.RandomVarFreq > 0 && s.rng.chance(s.opts.RandomVarFreq) {
 		for t := 0; t < 8; t++ {
-			v := Var(s.rng.intn(len(s.assigns)))
-			if s.assigns[v] == lUndef {
+			v := Var(s.rng.intn(s.NumVars()))
+			if s.vals[v.Pos()] == lUndef {
 				return v
 			}
 		}
 	}
 	for !s.order.empty() {
 		v := s.order.pop()
-		if s.assigns[v] == lUndef {
+		if s.vals[v.Pos()] == lUndef {
 			return v
 		}
 	}
@@ -770,7 +797,7 @@ func (s *Solver) drainImports() bool {
 // normalization as AddClause but storing the clause in the learnt tier so
 // the problem clause set (NumClauses, WriteDIMACS) is unchanged.
 func (s *Solver) addImported(lits []Lit) bool {
-	out := make([]Lit, 0, len(lits))
+	out := s.addBuf[:0]
 	for _, l := range lits {
 		if l.Var() < 0 || int(l.Var()) >= s.NumVars() {
 			return true // references a variable this solver hasn't synced yet
@@ -783,6 +810,7 @@ func (s *Solver) addImported(lits []Lit) bool {
 		}
 		out = append(out, l)
 	}
+	s.addBuf = out
 	s.stats.SharedImports++
 	switch len(out) {
 	case 0:
@@ -802,11 +830,7 @@ func (s *Solver) addImported(lits []Lit) bool {
 // if the result was Sat.
 func (s *Solver) cancelUntilRoot(st Status) {
 	if st == Sat {
-		if cap(s.model) < len(s.assigns) {
-			s.model = make([]lbool, len(s.assigns))
-		}
-		s.model = s.model[:len(s.assigns)]
-		copy(s.model, s.assigns)
+		s.model = append(s.model[:0], s.vals...)
 	}
 	s.cancelUntil(0)
 }
