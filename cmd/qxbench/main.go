@@ -77,6 +77,11 @@ func main() {
 	costModel := flag.String("cost-model", "", "cost model: paper (default 7/4) or swap=<n>,h=<n> for uniform rescaling")
 	calibration := flag.String("calibration", "", "calibration JSON file with per-edge weights or error rates (overrides -cost-model)")
 	flag.Parse()
+	if err := checkModeFlags(flag.CommandLine, *batchMethod != ""); err != nil {
+		fmt.Fprintln(os.Stderr, "qxbench:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	noLowerBound := false
 	switch *lowerBound {
@@ -167,6 +172,30 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Print(bench.FormatSummary(bench.Summary(rows)))
+}
+
+// batchOnlyFlags are read only by -batch mode and tableOnlyFlags only by the
+// Table 1 run.
+var (
+	batchOnlyFlags = []string{"job-timeout", "sat-binary", "json", "baseline", "probe-budget", "store", "ladder"}
+	tableOnlyFlags = []string{"seed-sat", "parallel", "summary"}
+)
+
+// checkModeFlags rejects a set flag that only the other mode reads. Such a
+// flag would otherwise be ignored silently: a CI gate passing -baseline
+// without -batch would run Table 1 and succeed without comparing anything.
+func checkModeFlags(fs *flag.FlagSet, batch bool) error {
+	other, mode := batchOnlyFlags, "only valid with -batch"
+	if batch {
+		other, mode = tableOnlyFlags, "not valid with -batch"
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(other, f.Name) {
+			err = fmt.Errorf("-%s is %s", f.Name, mode)
+		}
+	})
+	return err
 }
 
 // batchConfig carries the -batch mode flags.

@@ -141,7 +141,12 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	res, err := qxmap.MapContext(ctx, c, a, opts)
+	mapper, err := qxmap.NewMapper()
+	if err != nil {
+		fatal(err)
+	}
+	defer mapper.Close()
+	res, err := mapper.MapWith(ctx, c, a, opts)
 	if err != nil {
 		fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,11 @@ import (
 )
 
 func main() {
+	mapper, err := qxmap.NewMapper()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer mapper.Close()
 	c := qxmap.Figure1a()
 	a := qxmap.QX4()
 
@@ -23,7 +29,7 @@ func main() {
 	fmt.Print(render.Circuit(c))
 
 	for _, engine := range []qxmap.Engine{qxmap.EngineSAT, qxmap.EngineDP} {
-		res, err := qxmap.Map(c, a, qxmap.Options{Engine: engine})
+		res, err := mapper.MapWith(context.Background(), c, a, qxmap.Options{Engine: engine})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,6 +44,11 @@ func buildGrover() *qxmap.Circuit {
 }
 
 func main() {
+	mapper, err := qxmap.NewMapper()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer mapper.Close()
 	grover := buildGrover()
 	// The Toffoli oracle is not elementary: decompose first.
 	elementary, err := revlib.Decompose(grover)
@@ -53,11 +59,11 @@ func main() {
 	fmt.Printf("Grover iteration: %d gates after decomposition (%d 1q + %d CNOT)\n",
 		elementary.Len(), st.SingleQubit, st.CNOT)
 
-	exact, err := qxmap.Map(elementary, qxmap.QX4(), qxmap.Options{Engine: qxmap.EngineDP})
+	exact, err := mapper.MapWith(context.Background(), elementary, qxmap.QX4(), qxmap.Options{Engine: qxmap.EngineDP})
 	if err != nil {
 		log.Fatal(err)
 	}
-	heur, err := qxmap.Map(elementary, qxmap.QX4(), qxmap.Options{Method: qxmap.MethodHeuristic, Seed: 1})
+	heur, err := mapper.MapWith(context.Background(), elementary, qxmap.QX4(), qxmap.Options{Method: qxmap.MethodHeuristic, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

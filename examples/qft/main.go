@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,11 @@ import (
 )
 
 func main() {
+	mapper, err := qxmap.NewMapper()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer mapper.Close()
 	for _, n := range []int{3, 4, 5} {
 		qft := revlib.BuildQFT(n)
 		qft.SetName(fmt.Sprintf("qft%d", n))
@@ -23,7 +29,7 @@ func main() {
 			qxmap.MethodExact, qxmap.MethodDisjoint, qxmap.MethodOdd,
 			qxmap.MethodTriangle, qxmap.MethodHeuristic,
 		} {
-			res, err := qxmap.Map(qft, qxmap.QX4(), qxmap.Options{
+			res, err := mapper.MapWith(context.Background(), qft, qxmap.QX4(), qxmap.Options{
 				Method: m, Engine: qxmap.EngineDP, Seed: 1})
 			if err != nil {
 				log.Fatal(err)
@@ -37,7 +43,7 @@ func main() {
 	// physical qubits is infeasible; the subset optimization (§4.1) makes
 	// the exact method applicable.
 	qft4 := revlib.BuildQFT(4).SetName("qft4")
-	res, err := qxmap.Map(qft4, qxmap.QX5(), qxmap.Options{
+	res, err := mapper.MapWith(context.Background(), qft4, qxmap.QX5(), qxmap.Options{
 		Method: qxmap.MethodExactSubsets, Engine: qxmap.EngineDP})
 	if err != nil {
 		log.Fatal(err)

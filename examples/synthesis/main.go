@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,11 @@ import (
 )
 
 func main() {
+	mapper, err := qxmap.NewMapper()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer mapper.Close()
 	for _, name := range []string{"3_17", "rd32", "4mod5"} {
 		tt := revlib.Tables()[name]
 		fmt.Printf("%s: %d-bit reversible function\n", name, tt.N)
@@ -39,8 +45,8 @@ func main() {
 			elem.Len(), st.SingleQubit, st.CNOT)
 
 		// Stage 3: minimal mapping to IBM QX4 (verification of circuit
-		// equivalence under the layouts is built into Map).
-		res, err := qxmap.Map(elem, qxmap.QX4(), qxmap.Options{Engine: qxmap.EngineDP})
+		// equivalence under the layouts is built into MapWith).
+		res, err := mapper.MapWith(context.Background(), elem, qxmap.QX4(), qxmap.Options{Engine: qxmap.EngineDP})
 		if err != nil {
 			log.Fatal(err)
 		}

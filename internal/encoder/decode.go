@@ -3,6 +3,7 @@ package encoder
 import (
 	"fmt"
 
+	"repro/internal/arch"
 	"repro/internal/perm"
 	"repro/internal/sat"
 )
@@ -62,16 +63,25 @@ func (s *Solution) SwitchCount() int {
 // consistency (well-formed mappings, permutation links, recomputed cost).
 // It must only be called after the underlying solver returned Sat.
 func (e *Encoding) Decode() (*Solution, error) {
-	n := e.prob.Skeleton.NumQubits
-	m := e.prob.Arch.NumQubits()
-	sol := &Solution{GateFrame: append([]int(nil), e.gateFrame...)}
+	return e.decode(e.prob.Arch, e.permSw, e.permW)
+}
 
-	for f := range e.X {
+// decode reads the solver model into a Solution on architecture a, whose
+// permutation SWAP counts and costs are permSw and permW, validating
+// internal consistency: well-formed mappings, realizable permutations that
+// link the frames, gates executable on a's coupling map, and a recomputed
+// cost equal to the cost bits. It must only be called after Sat.
+func (l *layout) decode(a *arch.Arch, permSw, permW []int) (*Solution, error) {
+	n := l.sk.NumQubits
+	m := a.NumQubits()
+	sol := &Solution{GateFrame: append([]int(nil), l.gateFrame...)}
+
+	for f := range l.X {
 		mp := make(perm.Mapping, n)
 		for j := 0; j < n; j++ {
 			mp[j] = -1
 			for i := 0; i < m; i++ {
-				if e.litTrue(e.X[f][i][j]) {
+				if l.litTrue(l.X[f][i][j]) {
 					if mp[j] != -1 {
 						return nil, fmt.Errorf("encoder: frame %d maps q%d twice", f, j)
 					}
@@ -89,10 +99,10 @@ func (e *Encoding) Decode() (*Solution, error) {
 	}
 
 	cost := 0
-	for t, ys := range e.Y {
+	for t, ys := range l.Y {
 		chosen := -1
 		for pi, y := range ys {
-			if e.litTrue(y) {
+			if l.litTrue(y) {
 				if chosen != -1 {
 					return nil, fmt.Errorf("encoder: perm point %d selects two permutations", t)
 				}
@@ -102,46 +112,49 @@ func (e *Encoding) Decode() (*Solution, error) {
 		if chosen == -1 {
 			return nil, fmt.Errorf("encoder: perm point %d selects no permutation", t)
 		}
-		pp := e.perms[chosen]
+		if permSw[chosen] < 0 {
+			return nil, fmt.Errorf("encoder: perm point %d selects a permutation unrealizable on %s", t, a)
+		}
+		pp := l.perms[chosen]
 		// The selected permutation must transform frame t into frame t+1.
 		if got := sol.FrameMappings[t].ApplyPerm(pp); !got.Equal(sol.FrameMappings[t+1]) {
 			return nil, fmt.Errorf("encoder: perm point %d: π%v maps %v to %v, frame has %v",
 				t, pp, sol.FrameMappings[t], got, sol.FrameMappings[t+1])
 		}
 		sol.Perms = append(sol.Perms, pp.Copy())
-		sol.PermSwaps = append(sol.PermSwaps, e.permSw[chosen])
-		cost += e.permW[chosen]
+		sol.PermSwaps = append(sol.PermSwaps, permSw[chosen])
+		cost += permW[chosen]
 	}
 
-	for k := range e.Z {
-		sw := e.litTrue(e.Z[k])
+	for k := range l.Z {
+		sw := l.litTrue(l.Z[k])
 		sol.Switched = append(sol.Switched, sw)
 		// Verify executability against the coupling map.
-		g := e.prob.Skeleton.Gates[k]
+		g := l.sk.Gates[k]
 		mp := sol.MappingBeforeGate(k)
 		pc, pt := mp[g.Control], mp[g.Target]
 		if sw {
 			// The gate executes reversed on coupling pair (pt, pc): charge
 			// that pair's direction-switch weight (4 in the paper model).
-			cost += e.cm.HWeight(pt, pc)
-			if !e.prob.Arch.Allows(pt, pc) {
-				return nil, fmt.Errorf("encoder: gate %d switched but (%d,%d) not in CM", k, pt, pc)
+			cost += a.Cost().HWeight(pt, pc)
+			if !a.Allows(pt, pc) {
+				return nil, fmt.Errorf("encoder: gate %d switched but (%d,%d) not in %s's CM", k, pt, pc, a)
 			}
-		} else if !e.prob.Arch.Allows(pc, pt) {
-			return nil, fmt.Errorf("encoder: gate %d forward but (%d,%d) not in CM", k, pc, pt)
+		} else if !a.Allows(pc, pt) {
+			return nil, fmt.Errorf("encoder: gate %d forward but (%d,%d) not in %s's CM", k, pc, pt, a)
 		}
 	}
 
 	sol.Cost = cost
-	if fromBits := e.B.Value(e.CostBits); fromBits != cost {
-		return nil, fmt.Errorf("encoder: cost bits say %d, recomputed %d", fromBits, cost)
+	if fromBits := l.B.Value(l.CostBits); fromBits != cost {
+		return nil, fmt.Errorf("encoder: cost bits say %d, %s recomputed %d", fromBits, a, cost)
 	}
 	return sol, nil
 }
 
-func (e *Encoding) litTrue(l sat.Lit) bool {
-	v := e.B.S.Value(l.Var())
-	if !l.IsPos() {
+func (l *layout) litTrue(x sat.Lit) bool {
+	v := l.B.S.Value(x.Var())
+	if !x.IsPos() {
 		v = !v
 	}
 	return v

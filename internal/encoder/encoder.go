@@ -15,6 +15,13 @@
 // Consecutive gates between which no permutation is allowed share one
 // x-variable frame, so restricting the permutation points G' (paper §4.2)
 // directly shrinks the encoding.
+//
+// Encode builds the instance for one architecture (Encoding); EncodeSubsets
+// builds the §4.1 family of restricted architectures as one selector-guarded
+// instance (MultiEncoding, multi.go). Both embed one layout (layout.go): the
+// frames, the mapping variables with Eq. 1, the permutation links with
+// Eq. 3, the switch variables, the cost bound guards and the model decoder.
+// Only the coupling-map constraints and the cost tree differ between them.
 package encoder
 
 import (
@@ -60,46 +67,15 @@ type Problem struct {
 
 // Encoding is the CNF materialization of a Problem.
 type Encoding struct {
-	B *cnf.Builder
+	layout
 
 	prob   Problem
-	cm     *arch.CostModel         // cost model (nil = paper 7/4)
-	space  *perm.Space             // full permutation space (n = m) for swaps(π)
-	swaps  *perm.SwapTable         // swap-distance table (uniform swap weights)
-	wswaps *perm.WeightedSwapTable // weighted table (non-uniform swap weights)
-	perms  []perm.Perm             // Π, indexed as in Y
-	permSw []int                   // SWAP count of the chosen realization of π
-	permW  []int                   // weighted cost of π (SwapCost·permSw when uniform)
+	cm     *arch.CostModel // cost model (nil = paper 7/4)
+	permSw []int           // SWAP count of the chosen realization of π
+	permW  []int           // weighted cost of π (SwapCost·permSw when uniform)
 	// gateRev[k][p] is the "gate k sits reversed on coupling pair p" literal
 	// (aligned with Arch.Pairs()), kept for per-pair H-weight cost terms.
 	gateRev [][]sat.Lit
-
-	// frames[f] = index of the first skeleton gate of frame f; gates of
-	// frame f are [frames[f], frames[f+1]) (last frame ends at |G|).
-	frames []int
-	// gateFrame[k] = frame index of skeleton gate k.
-	gateFrame []int
-
-	// X[f][i][j]: in frame f, logical qubit j sits on physical qubit i.
-	X [][][]sat.Lit
-	// Y[t][p]: permutation p (index into perms) is applied at permutation
-	// point t, which sits between frames t and t+1.
-	Y [][]sat.Lit
-	// Z[k]: skeleton gate k is executed with switched direction.
-	Z []sat.Lit
-
-	// CostBits is the binary value of F.
-	CostBits cnf.BitVec
-	// MaxCost is the largest value F can take in this encoding.
-	MaxCost int
-
-	// costGuards memoizes the activation literal per bound handed out by
-	// CostAtMostLit, so repeated probes of the same bound reuse both the
-	// guard variable and its clauses; guardBounds is the reverse index, so
-	// an unsat core over guard assumptions can be mapped back to the bounds
-	// it refutes (GuardBound).
-	costGuards  map[int]sat.Lit
-	guardBounds map[sat.Lit]int
 }
 
 // Encode builds the CNF instance for the problem on the given builder. The
@@ -126,37 +102,16 @@ func Encode(ctx context.Context, p Problem, b *cnf.Builder) (*Encoding, error) {
 		return nil, fmt.Errorf("encoder: invalid initial mapping %v for n=%d, m=%d", p.InitialMapping, n, m)
 	}
 
-	e := &Encoding{B: b, prob: p, cm: p.Arch.Cost()}
-	e.space = perm.NewSpace(m, m)
-	if e.cm.UniformSwap() {
-		e.swaps = perm.NewSwapTable(e.space, p.Arch.UndirectedEdges())
-		for _, pp := range perm.All(m) {
-			sw := e.swaps.PermSwaps(pp)
-			e.perms = append(e.perms, pp)
-			e.permSw = append(e.permSw, sw)
-			if sw > 0 {
-				e.permW = append(e.permW, e.cm.SwapUnit()*sw)
-			} else {
-				e.permW = append(e.permW, sw)
-			}
-		}
-	} else {
-		e.wswaps = perm.NewWeightedSwapTable(e.space, p.Arch.UndirectedEdges(), e.cm.EdgeSwapWeight)
-		for _, pp := range perm.All(m) {
-			e.perms = append(e.perms, pp)
-			e.permSw = append(e.permSw, e.wswaps.PermSwapsAlong(pp))
-			e.permW = append(e.permW, e.wswaps.PermWeight(pp))
-		}
-	}
-
-	e.buildFrames()
-	e.buildMappingVars()
+	e := &Encoding{layout: layout{B: b, sk: p.Skeleton, perms: perm.All(m)}, prob: p, cm: p.Arch.Cost()}
+	e.permSw, e.permW = permCosts(perm.NewSpace(m, m), e.perms, p.Arch)
+	e.buildFrames(p)
+	e.buildMappingVars(m)
 	e.pinInitialMapping()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	e.buildGateConstraints()
-	if err := e.buildPermutationLinks(ctx); err != nil {
+	if err := e.buildPermutationLinks(ctx, e.permSw); err != nil {
 		return nil, err
 	}
 	e.buildCost()
@@ -174,55 +129,6 @@ func (p Problem) PermAllowed(k int) bool {
 		return true
 	}
 	return p.PermBefore[k]
-}
-
-func (e *Encoding) buildFrames() {
-	e.gateFrame = make([]int, e.prob.Skeleton.Len())
-	if e.prob.InitialMapping != nil {
-		// Virtual gate-free frame holding the pinned layout, separated
-		// from the first gate's frame by a permutation point.
-		e.frames = append(e.frames, -1)
-	}
-	for k := 0; k < e.prob.Skeleton.Len(); k++ {
-		if k == 0 || e.prob.PermAllowed(k) {
-			e.frames = append(e.frames, k)
-		}
-		e.gateFrame[k] = len(e.frames) - 1
-	}
-}
-
-// NumFrames returns the number of distinct x-variable frames.
-func (e *Encoding) NumFrames() int { return len(e.frames) }
-
-// NumPermPoints returns |G'| + 0: the number of places a permutation may be
-// inserted (paper column |G'|; one per frame boundary).
-func (e *Encoding) NumPermPoints() int { return len(e.frames) - 1 }
-
-func (e *Encoding) buildMappingVars() {
-	n := e.prob.Skeleton.NumQubits
-	m := e.prob.Arch.NumQubits()
-	e.X = make([][][]sat.Lit, len(e.frames))
-	for f := range e.X {
-		e.X[f] = make([][]sat.Lit, m)
-		for i := 0; i < m; i++ {
-			e.X[f][i] = make([]sat.Lit, n)
-			for j := 0; j < n; j++ {
-				e.X[f][i][j] = e.B.NewLit()
-			}
-		}
-		// Eq. (1): each logical qubit on exactly one physical qubit...
-		for j := 0; j < n; j++ {
-			col := make([]sat.Lit, m)
-			for i := 0; i < m; i++ {
-				col[i] = e.X[f][i][j]
-			}
-			e.B.ExactlyOne(col...)
-		}
-		// ...and each physical qubit holds at most one logical qubit.
-		for i := 0; i < m; i++ {
-			e.B.AtMostOne(e.X[f][i]...)
-		}
-	}
 }
 
 // pinInitialMapping adds unit clauses fixing frame 0 when the problem
@@ -266,48 +172,11 @@ func (e *Encoding) buildGateConstraints() {
 	}
 }
 
-// buildPermutationLinks adds Eq. (3): the y^k_π selectors and their
-// consistency with adjacent x frames. Following footnote 5, the implication
-// is left-handed (y → consistency) combined with an exactly-one constraint,
-// which also handles n < m, where the permutation on unoccupied physical
-// qubits is not determined by the mappings.
-func (e *Encoding) buildPermutationLinks(ctx context.Context) error {
-	n := e.prob.Skeleton.NumQubits
-	m := e.prob.Arch.NumQubits()
-	e.Y = make([][]sat.Lit, e.NumPermPoints())
-	for t := 0; t < e.NumPermPoints(); t++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		before, after := e.X[t], e.X[t+1]
-		ys := make([]sat.Lit, len(e.perms))
-		for pi, pp := range e.perms {
-			y := e.B.NewLit()
-			ys[pi] = y
-			if e.permSw[pi] < 0 {
-				// Unrealizable permutation (disconnected graph).
-				e.B.AddClause(y.Not())
-				continue
-			}
-			// y → (x^{k-1}_ij ↔ x^k_{π(i)j}) for all i, j.
-			for i := 0; i < m; i++ {
-				for j := 0; j < n; j++ {
-					e.B.AddClause(y.Not(), before[i][j].Not(), after[pp[i]][j])
-					e.B.AddClause(y.Not(), before[i][j], after[pp[i]][j].Not())
-				}
-			}
-		}
-		e.B.ExactlyOne(ys...)
-		e.Y[t] = ys
-	}
-	return nil
-}
-
 // buildCost assembles Eq. (5) as a bit vector, generalized to the cost
 // model: each permutation selector contributes its (possibly weighted)
 // realization cost, each switched gate its direction-switch weight. Under
 // the paper model this is exactly 7·swaps(π) per selector and 4 per
-// switch, producing the identical CNF as before the model existed.
+// switch.
 func (e *Encoding) buildCost() {
 	maxSwap := 0
 	costs := make([]int, len(e.perms))
@@ -355,46 +224,4 @@ func (e *Encoding) gateHCostVec(k, width int) cnf.BitVec {
 		weights[p] = e.cm.HWeight(pr.Control, pr.Target)
 	}
 	return e.B.SelectConst(zrev, weights, width)
-}
-
-// AssertCostAtMost permanently adds the constraint F ≤ bound. Successive
-// calls must use non-increasing bounds (a permanently tightened instance
-// cannot be relaxed). The incremental minimization driver uses
-// CostAtMostLit instead, which leaves the instance reusable.
-func (e *Encoding) AssertCostAtMost(bound int) {
-	e.B.AssertLessEqConst(e.CostBits, bound)
-}
-
-// CostAtMostLit returns an activation literal g encoding g → (F ≤ bound).
-// Passing g as a Solve assumption enforces the bound for that call only:
-// an UNSAT probe does not poison the instance, and learnt clauses survive
-// across probes of different bounds — the incremental §3.3 descent in
-// internal/exact drives every probe through these guards on one solver.
-// Guards are memoized per bound. A bound ≥ MaxCost is vacuous and returns
-// the constant-true literal.
-func (e *Encoding) CostAtMostLit(bound int) sat.Lit {
-	if bound >= e.MaxCost {
-		return e.B.True()
-	}
-	if g, ok := e.costGuards[bound]; ok {
-		return g
-	}
-	g := e.B.LessEqConstGuard(e.CostBits, bound)
-	if e.costGuards == nil {
-		e.costGuards = make(map[int]sat.Lit)
-		e.guardBounds = make(map[sat.Lit]int)
-	}
-	e.costGuards[bound] = g
-	e.guardBounds[g] = bound
-	return g
-}
-
-// GuardBound maps a guard literal minted by CostAtMostLit back to the bound
-// it activates. The incremental descent uses it to translate an unsat core
-// over guard assumptions into the tightest cost bound the conflict actually
-// refuted. Non-guard literals (including the vacuous constant-true literal
-// returned for bounds ≥ MaxCost) report false.
-func (e *Encoding) GuardBound(g sat.Lit) (int, bool) {
-	b, ok := e.guardBounds[g]
-	return b, ok
 }

@@ -39,45 +39,29 @@ type SubsetProblem struct {
 	Archs []*arch.Arch
 }
 
-// PermAllowed mirrors Problem.PermAllowed for the shared frame layout.
-func (p SubsetProblem) PermAllowed(k int) bool {
-	return Problem{Skeleton: p.Skeleton, PermBefore: p.PermBefore}.PermAllowed(k)
-}
-
 // MultiEncoding is the CNF materialization of a SubsetProblem: one shared
-// instance carrying every subset behind selector assumptions.
+// instance carrying every subset behind selector assumptions. Its layout
+// spans the n×n slot space: the Eq. 1 mapping constraints and the Eq. 3
+// permutation-consistency links are pure index bookkeeping, independent of
+// any coupling map, so they are shared unguarded, while Z is a vector of
+// free variables whose meaning is fixed per subset by guarded equivalences.
 type MultiEncoding struct {
-	B *cnf.Builder
+	layout
 
-	prob  SubsetProblem
-	perms []perm.Perm // Π over the n slots, shared by all subsets
+	prob SubsetProblem
 	// permSw[i][pi] = SWAP count of permutation pi's chosen realization on
 	// subset i's coupling graph (−1 when unrealizable there); permW[i][pi]
 	// its cost under subset i's cost model (SwapCost·permSw when uniform).
 	permSw [][]int
 	permW  [][]int
-	// cms[i] is subset i's cost model; uniformH reports whether every
-	// subset charges the same constant per direction switch, in which case
-	// the H cost terms are shared unguarded exactly as in the paper model.
-	cms      []*arch.CostModel
+	// uniformH reports whether every subset charges the same constant hUnit
+	// per direction switch, in which case the H cost terms are shared
+	// unguarded exactly as in the paper model.
 	uniformH bool
 	hUnit    int
 
-	frames    []int
-	gateFrame []int
-
-	// X, Y, Z as in Encoding, over the n×n slot space. The Eq. 1 mapping
-	// constraints and the Eq. 3 permutation-consistency links are pure
-	// index bookkeeping, independent of any coupling map, so they are
-	// shared unguarded. Z is a vector of free variables whose meaning is
-	// fixed per subset by guarded equivalences.
-	X [][][]sat.Lit
-	Y [][]sat.Lit
-	Z []sat.Lit
-
 	// Selectors[i] activates subset i's guarded constraints.
 	Selectors []sat.Lit
-	selSubset map[sat.Lit]int
 
 	// C[t] is the shared per-permutation-point swap-cost vector: free bits
 	// linked per subset by s_i → (C[t][j] ↔ ⋁ y's whose 7·swaps_i(π) has
@@ -89,12 +73,6 @@ type MultiEncoding struct {
 	// some subset carries per-pair H weights (otherwise the shared
 	// ScaleByLit(Z[k], hUnit) terms suffice). Linked per subset like C.
 	HV []cnf.BitVec
-
-	CostBits cnf.BitVec
-	MaxCost  int
-
-	costGuards  map[int]sat.Lit
-	guardBounds map[sat.Lit]int
 }
 
 // EncodeSubsets builds the shared instance. The context is checked between
@@ -120,49 +98,27 @@ func EncodeSubsets(ctx context.Context, p SubsetProblem, b *cnf.Builder) (*Multi
 		}
 	}
 
-	e := &MultiEncoding{B: b, prob: p}
+	e := &MultiEncoding{layout: layout{B: b, sk: p.Skeleton, perms: perm.All(n)}, prob: p}
 	space := perm.NewSpace(n, n)
-	e.perms = perm.All(n)
 	e.permSw = make([][]int, len(p.Archs))
 	e.permW = make([][]int, len(p.Archs))
-	e.cms = make([]*arch.CostModel, len(p.Archs))
 	e.uniformH = true
 	e.hUnit = p.Archs[0].Cost().HUnit()
 	for i, a := range p.Archs {
-		cm := a.Cost()
-		e.cms[i] = cm
-		if !cm.UniformH() || cm.HUnit() != e.hUnit {
+		if cm := a.Cost(); !cm.UniformH() || cm.HUnit() != e.hUnit {
 			e.uniformH = false
 		}
-		sw := make([]int, len(e.perms))
-		w := make([]int, len(e.perms))
-		if cm.UniformSwap() {
-			table := perm.NewSwapTable(space, a.UndirectedEdges())
-			for pi, pp := range e.perms {
-				sw[pi] = table.PermSwaps(pp)
-				if sw[pi] > 0 {
-					w[pi] = cm.SwapUnit() * sw[pi]
-				} else {
-					w[pi] = sw[pi]
-				}
-			}
-		} else {
-			table := perm.NewWeightedSwapTable(space, a.UndirectedEdges(), cm.EdgeSwapWeight)
-			for pi, pp := range e.perms {
-				sw[pi] = table.PermSwapsAlong(pp)
-				w[pi] = table.PermWeight(pp)
-			}
-		}
-		e.permSw[i] = sw
-		e.permW[i] = w
+		e.permSw[i], e.permW[i] = permCosts(space, e.perms, a)
 	}
 
-	e.buildFrames()
-	e.buildMappingVars()
+	e.buildFrames(Problem{Skeleton: p.Skeleton, PermBefore: p.PermBefore})
+	e.buildMappingVars(n)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := e.buildPermutationLinks(ctx); err != nil {
+	// Which permutations are realizable differs per subset and is asserted
+	// in buildSubsetConstraints; the transport clauses are shared.
+	if err := e.buildPermutationLinks(ctx, nil); err != nil {
 		return nil, err
 	}
 	e.Z = make([]sat.Lit, p.Skeleton.Len())
@@ -170,11 +126,8 @@ func EncodeSubsets(ctx context.Context, p SubsetProblem, b *cnf.Builder) (*Multi
 		e.Z[k] = b.NewLit()
 	}
 	e.Selectors = make([]sat.Lit, len(p.Archs))
-	e.selSubset = make(map[sat.Lit]int, len(p.Archs))
-	for i := range p.Archs {
-		s := b.NewLit()
-		e.Selectors[i] = s
-		e.selSubset[s] = i
+	for i := range e.Selectors {
+		e.Selectors[i] = b.NewLit()
 	}
 	e.buildSharedCost()
 	for i := range p.Archs {
@@ -186,35 +139,8 @@ func EncodeSubsets(ctx context.Context, p SubsetProblem, b *cnf.Builder) (*Multi
 	return e, nil
 }
 
-func (e *MultiEncoding) buildFrames() {
-	e.gateFrame = make([]int, e.prob.Skeleton.Len())
-	for k := 0; k < e.prob.Skeleton.Len(); k++ {
-		if k == 0 || e.prob.PermAllowed(k) {
-			e.frames = append(e.frames, k)
-		}
-		e.gateFrame[k] = len(e.frames) - 1
-	}
-}
-
-// NumFrames returns the number of distinct x-variable frames.
-func (e *MultiEncoding) NumFrames() int { return len(e.frames) }
-
-// NumPermPoints returns |G'|, shared by every subset (the strategy is
-// architecture-independent).
-func (e *MultiEncoding) NumPermPoints() int { return len(e.frames) - 1 }
-
-// NumSubsets returns the number of encoded subsets.
-func (e *MultiEncoding) NumSubsets() int { return len(e.prob.Archs) }
-
 // Selector returns subset i's activation literal.
 func (e *MultiEncoding) Selector(i int) sat.Lit { return e.Selectors[i] }
-
-// SelectorSubset maps a selector literal back to its subset index — the
-// inverse of Selector, used to read unsat cores over selector assumptions.
-func (e *MultiEncoding) SelectorSubset(l sat.Lit) (int, bool) {
-	i, ok := e.selSubset[l]
-	return i, ok
-}
 
 // TrueSelector returns the lowest-indexed subset whose selector is true in
 // the current model (after a Sat result). When the driver assumes a family
@@ -228,61 +154,6 @@ func (e *MultiEncoding) TrueSelector() (int, bool) {
 		}
 	}
 	return -1, false
-}
-
-// buildMappingVars adds the shared Eq. 1 constraints over the n slots; with
-// n logical qubits on n slots every frame mapping is a bijection.
-func (e *MultiEncoding) buildMappingVars() {
-	n := e.prob.Skeleton.NumQubits
-	e.X = make([][][]sat.Lit, len(e.frames))
-	for f := range e.X {
-		e.X[f] = make([][]sat.Lit, n)
-		for i := 0; i < n; i++ {
-			e.X[f][i] = make([]sat.Lit, n)
-			for j := 0; j < n; j++ {
-				e.X[f][i][j] = e.B.NewLit()
-			}
-		}
-		for j := 0; j < n; j++ {
-			col := make([]sat.Lit, n)
-			for i := 0; i < n; i++ {
-				col[i] = e.X[f][i][j]
-			}
-			e.B.ExactlyOne(col...)
-		}
-		for i := 0; i < n; i++ {
-			e.B.AtMostOne(e.X[f][i]...)
-		}
-	}
-}
-
-// buildPermutationLinks adds the shared Eq. 3 selectors and consistency
-// links. Which permutations are REALIZABLE differs per subset and is
-// asserted in buildSubsetConstraints; the y → (x ↔ x′) transport clauses
-// are pure permutation semantics and shared.
-func (e *MultiEncoding) buildPermutationLinks(ctx context.Context) error {
-	n := e.prob.Skeleton.NumQubits
-	e.Y = make([][]sat.Lit, e.NumPermPoints())
-	for t := 0; t < e.NumPermPoints(); t++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		before, after := e.X[t], e.X[t+1]
-		ys := make([]sat.Lit, len(e.perms))
-		for pi, pp := range e.perms {
-			y := e.B.NewLit()
-			ys[pi] = y
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					e.B.AddClause(y.Not(), before[i][j].Not(), after[pp[i]][j])
-					e.B.AddClause(y.Not(), before[i][j], after[pp[i]][j].Not())
-				}
-			}
-		}
-		e.B.ExactlyOne(ys...)
-		e.Y[t] = ys
-	}
-	return nil
 }
 
 // buildSharedCost allocates the free per-point cost vectors C[t] and the
@@ -300,8 +171,8 @@ func (e *MultiEncoding) buildSharedCost() {
 	maxH := e.hUnit
 	if !e.uniformH {
 		maxH = 0
-		for i, a := range e.prob.Archs {
-			if h := e.cms[i].MaxHWeight(a.Pairs()); h > maxH {
+		for _, a := range e.prob.Archs {
+			if h := a.Cost().MaxHWeight(a.Pairs()); h > maxH {
 				maxH = h
 			}
 		}
@@ -353,7 +224,7 @@ func (e *MultiEncoding) buildSharedCost() {
 func (e *MultiEncoding) buildSubsetConstraints(i int) {
 	s := e.Selectors[i]
 	a := e.prob.Archs[i]
-	cm := e.cms[i]
+	cm := a.Cost()
 
 	for k, g := range e.prob.Skeleton.Gates {
 		x := e.X[e.gateFrame[k]]
@@ -413,33 +284,6 @@ func (e *MultiEncoding) buildSubsetConstraints(i int) {
 	}
 }
 
-// CostAtMostLit returns the shared activation literal for g → (F ≤ bound),
-// memoized per bound exactly as Encoding.CostAtMostLit. Because the cost
-// tree is shared, the same guard (and everything learnt while probing it)
-// serves every subset.
-func (e *MultiEncoding) CostAtMostLit(bound int) sat.Lit {
-	if bound >= e.MaxCost {
-		return e.B.True()
-	}
-	if g, ok := e.costGuards[bound]; ok {
-		return g
-	}
-	g := e.B.LessEqConstGuard(e.CostBits, bound)
-	if e.costGuards == nil {
-		e.costGuards = make(map[int]sat.Lit)
-		e.guardBounds = make(map[sat.Lit]int)
-	}
-	e.costGuards[bound] = g
-	e.guardBounds[g] = bound
-	return g
-}
-
-// GuardBound maps a cost guard back to its bound (see Encoding.GuardBound).
-func (e *MultiEncoding) GuardBound(g sat.Lit) (int, bool) {
-	b, ok := e.guardBounds[g]
-	return b, ok
-}
-
 // DecodeSubset reads the solver model into a Solution interpreted on subset
 // i's architecture. It must only be called after Sat, and only for a subset
 // whose selector was true in the model (assumed or decided) — otherwise the
@@ -448,86 +292,5 @@ func (e *MultiEncoding) DecodeSubset(i int) (*Solution, error) {
 	if !e.litTrue(e.Selectors[i]) {
 		return nil, fmt.Errorf("encoder: subset %d's selector is false in the model", i)
 	}
-	n := e.prob.Skeleton.NumQubits
-	a := e.prob.Archs[i]
-	sol := &Solution{GateFrame: append([]int(nil), e.gateFrame...)}
-
-	for f := range e.X {
-		mp := make(perm.Mapping, n)
-		for j := 0; j < n; j++ {
-			mp[j] = -1
-			for slot := 0; slot < n; slot++ {
-				if e.litTrue(e.X[f][slot][j]) {
-					if mp[j] != -1 {
-						return nil, fmt.Errorf("encoder: frame %d maps q%d twice", f, j)
-					}
-					mp[j] = slot
-				}
-			}
-			if mp[j] == -1 {
-				return nil, fmt.Errorf("encoder: frame %d leaves q%d unmapped", f, j)
-			}
-		}
-		if !mp.Valid(n) {
-			return nil, fmt.Errorf("encoder: frame %d mapping %v not injective", f, mp)
-		}
-		sol.FrameMappings = append(sol.FrameMappings, mp)
-	}
-
-	cost := 0
-	for t, ys := range e.Y {
-		chosen := -1
-		for pi, y := range ys {
-			if e.litTrue(y) {
-				if chosen != -1 {
-					return nil, fmt.Errorf("encoder: perm point %d selects two permutations", t)
-				}
-				chosen = pi
-			}
-		}
-		if chosen == -1 {
-			return nil, fmt.Errorf("encoder: perm point %d selects no permutation", t)
-		}
-		if e.permSw[i][chosen] < 0 {
-			return nil, fmt.Errorf("encoder: perm point %d selects a permutation unrealizable on subset %d", t, i)
-		}
-		pp := e.perms[chosen]
-		if got := sol.FrameMappings[t].ApplyPerm(pp); !got.Equal(sol.FrameMappings[t+1]) {
-			return nil, fmt.Errorf("encoder: perm point %d: π%v maps %v to %v, frame has %v",
-				t, pp, sol.FrameMappings[t], got, sol.FrameMappings[t+1])
-		}
-		sol.Perms = append(sol.Perms, pp.Copy())
-		sol.PermSwaps = append(sol.PermSwaps, e.permSw[i][chosen])
-		cost += e.permW[i][chosen]
-	}
-
-	for k := range e.Z {
-		sw := e.litTrue(e.Z[k])
-		sol.Switched = append(sol.Switched, sw)
-		g := e.prob.Skeleton.Gates[k]
-		mp := sol.MappingBeforeGate(k)
-		pc, pt := mp[g.Control], mp[g.Target]
-		if sw {
-			cost += e.cms[i].HWeight(pt, pc)
-			if !a.Allows(pt, pc) {
-				return nil, fmt.Errorf("encoder: gate %d switched but (%d,%d) not in subset %d's CM", k, pt, pc, i)
-			}
-		} else if !a.Allows(pc, pt) {
-			return nil, fmt.Errorf("encoder: gate %d forward but (%d,%d) not in subset %d's CM", k, pc, pt, i)
-		}
-	}
-
-	sol.Cost = cost
-	if fromBits := e.B.Value(e.CostBits); fromBits != cost {
-		return nil, fmt.Errorf("encoder: cost bits say %d, subset %d recomputed %d", fromBits, i, cost)
-	}
-	return sol, nil
-}
-
-func (e *MultiEncoding) litTrue(l sat.Lit) bool {
-	v := e.B.S.Value(l.Var())
-	if !l.IsPos() {
-		v = !v
-	}
-	return v
+	return e.decode(e.prob.Archs[i], e.permSw[i], e.permW[i])
 }

@@ -584,28 +584,12 @@ func TestUnsatisfiableSentinel(t *testing.T) {
 			t.Errorf("engine %v: err = %v, want ErrUnsatisfiable", eng, err)
 		}
 	}
-	// Under StrictBound, a start bound below the true optimum makes the
-	// SAT instance UNSAT (the §4.1 pruning semantics).
-	lin := arch.Linear(3)
-	skHard := mkSkeleton(3, [2]int{0, 1}, [2]int{1, 2}, [2]int{0, 2})
-	ref, err := Solve(bg, skHard, lin, Options{Engine: EngineDP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Cost == 0 {
-		t.Skip("instance unexpectedly free")
-	}
-	_, err = Solve(bg, skHard, lin, Options{Engine: EngineSAT,
-		SAT: SATOptions{StartBound: ref.Cost - 1, StrictBound: true}})
-	if !errors.Is(err, ErrUnsatisfiable) {
-		t.Errorf("undercut strict bound: err = %v, want ErrUnsatisfiable", err)
-	}
 }
 
-// TestStartBoundRelaxRecovers: without StrictBound, an undercut StartBound
-// no longer fails the solve — the engine detects the failed bound
-// assumption, relaxes it on the same solver instance and still proves the
-// true optimum, with exactly one encode.
+// TestStartBoundRelaxRecovers: an undercut StartBound does not fail the
+// solve — the engine detects the failed bound assumption, relaxes it on the
+// same solver instance and still proves the true optimum, with exactly one
+// encode.
 func TestStartBoundRelaxRecovers(t *testing.T) {
 	lin := arch.Linear(3)
 	sk := mkSkeleton(3, [2]int{0, 1}, [2]int{1, 2}, [2]int{0, 2})
@@ -772,8 +756,8 @@ func TestSubsetErrorPropagation(t *testing.T) {
 
 // TestSubsetSharedBoundPruning: the parallel §4.1 fan-out with the SAT
 // engine must agree with the DP oracle, aggregate its counters across the
-// solved subsets, and keep the minimality proof (pruned subsets are proven
-// by their strict-bound UNSAT).
+// solved subsets, and keep the minimality proof (retired subsets are proven
+// by their admissible lower bounds).
 func TestSubsetSharedBoundPruning(t *testing.T) {
 	a := arch.QX5()
 	for seed := int64(0); seed < 6; seed++ {
@@ -802,10 +786,10 @@ func TestSubsetSharedBoundPruning(t *testing.T) {
 }
 
 // TestSubsetBudgetHonestMinimality: budgeted §4.1 runs must never abort a
-// solve that holds a valid incumbent just because a PRUNING probe (the
-// injected strict bound F ≤ best−1) ran out of budget — they degrade to
-// the incumbent. And whenever such a run claims Minimal, its cost must
-// actually be the subset optimum (checked against the DP oracle).
+// solve that holds a valid incumbent just because a probe below it
+// (F ≤ best−1) ran out of budget — they degrade to the incumbent. And
+// whenever such a run claims Minimal, its cost must actually be the subset
+// optimum (checked against the DP oracle).
 func TestSubsetBudgetHonestMinimality(t *testing.T) {
 	a := arch.QX5()
 	degraded := false

@@ -41,7 +41,7 @@ type Counters struct {
 	LowerBound int `json:"lower_bound"`
 	// SubsetsPruned counts §4.1 subsets retired without any solver probe
 	// of their own: their admissible lower bound showed they could not
-	// beat the incumbent (or an externally asserted strict bound).
+	// beat the incumbent.
 	SubsetsPruned int `json:"subsets_pruned"`
 	// CoreFamilyRefutations counts UNSAT probes on the shared §4.1
 	// instance whose assumption core refuted the whole pending subset

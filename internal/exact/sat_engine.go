@@ -21,16 +21,9 @@ type SATOptions struct {
 	// because the descent reaches it anyway. The bound is applied as a
 	// guard assumption, never as permanent clauses, so a StartBound below
 	// the true optimum of the (possibly strategy-restricted) instance is
-	// safe by default: the engine detects the failed assumption, relaxes
-	// the bound in place on the same solver, and continues — no caller-side
-	// re-encode is needed (the old "retry unbounded" dance).
+	// safe: the engine detects the failed assumption, relaxes the bound in
+	// place on the same solver, and continues without a re-encode.
 	StartBound int
-	// StrictBound changes the StartBound failure mode: a bound-induced
-	// UNSAT is reported as ErrUnsatisfiable instead of being relaxed. The
-	// §4.1 fan-out sets it to prune subset instances that cannot beat the
-	// shared incumbent cost — for pruning, "no mapping under the bound"
-	// IS the answer.
-	StrictBound bool
 	// BinaryDescent switches the minimization loop from linear descent
 	// (assume F ≤ cost−1 after each model) to binary search on the bound.
 	// Both modes run on one solver and one encoding, probing bounds via
@@ -40,23 +33,18 @@ type SATOptions struct {
 	// When the budget is exhausted the best model so far is returned with
 	// Result.Minimal false (the proof was truncated).
 	MaxConflicts int64
-	// LowerBound, when positive, is an admissible lower bound on F: the
-	// descent treats every bound below it as already refuted (seeding the
-	// binary search's lower end) and accepts a model matching it without a
-	// final UNSAT probe. An inadmissible value (above the true optimum)
-	// silently voids the minimality guarantee, so only pass proven bounds.
-	// When zero, the engine computes the coupling-graph distance bound
-	// itself (see NoLowerBound).
-	LowerBound int
-	// NoLowerBound disables the automatic admissible lower-bound
-	// computation when LowerBound is zero — the escape hatch behind the
-	// CLIs' -lower-bound=off flags, and the baseline configuration for
-	// probe-count comparisons.
+	// NoLowerBound disables the admissible lower bound on F (the
+	// coupling-graph distance bound, Result.LowerBound) that otherwise
+	// seeds the descent: every bound below it counts as refuted, and a
+	// model meeting it is accepted without a closing UNSAT probe. It is the
+	// escape hatch behind the CLIs' -lower-bound=off flags, and the
+	// baseline configuration for probe-count comparisons.
 	NoLowerBound bool
 	// NoCoreJumps restricts every descent probe to a single bound guard,
 	// disabling the unsat-core-guided multi-bound probing. With
-	// NoLowerBound it reproduces the pre-core bound-per-probe descent;
-	// kept as an escape hatch and for regression benchmarking.
+	// NoLowerBound it gives the unseeded one-bound-per-probe descent that
+	// probe-count comparisons take as their reference; it is also an
+	// escape hatch.
 	NoCoreJumps bool
 	// Anytime changes the resource-exhaustion failure mode of the descent:
 	// when the context deadline expires (or the conflict budget runs dry)
@@ -65,8 +53,8 @@ type SATOptions struct {
 	// BoundGap bracketing the unproven range — instead of an error.
 	// Without an incumbent in hand the usual error is still returned, and
 	// a caller-initiated cancellation (context.Canceled) always errors:
-	// anytime is for deadlines, not for aborts. Off by default, so
-	// deadline expiry keeps its historical error semantics.
+	// anytime is for deadlines, not for aborts. Off by default: a
+	// deadline expiry is then an error.
 	Anytime bool
 	// Threads, when > 1, runs every solver call as a clause-sharing
 	// portfolio of that many diversified goroutine workers over the one
@@ -173,69 +161,38 @@ func SolveSAT(ctx context.Context, p encoder.Problem, opts SATOptions) (res *Res
 		}
 	}()
 	start := time.Now()
-	lb := opts.LowerBound
-	if lb <= 0 {
-		lb = 0
-		if !opts.NoLowerBound {
-			lb = admissibleLowerBound(p)
-		}
+	lb := 0
+	if !opts.NoLowerBound {
+		lb = admissibleLowerBound(p)
 	}
-	if opts.StrictBound && opts.StartBound > 0 && lb > opts.StartBound {
-		// The admissible lower bound already exceeds the strict cap: no
-		// mapping under the bound exists, no encode or probe needed. The
-		// §4.1 fan-out hits this when a subset's geometry cannot beat the
-		// shared incumbent.
-		res := &Result{WorkArch: p.Arch, Engine: EngineSAT.String(), Counters: Counters{LowerBound: lb}, Minimal: true}
-		return res, fmt.Errorf("exact: %w (admissible lower bound %d exceeds the strict bound %d)",
-			ErrUnsatisfiable, lb, opts.StartBound)
-	}
-
 	solver := sat.New(sat.Options{MaxConflicts: opts.MaxConflicts})
-	b := cnf.NewBuilder(solver)
-	enc, err := encoder.Encode(ctx, p, b)
+	enc, err := encoder.Encode(ctx, p, cnf.NewBuilder(solver))
 	if err != nil {
 		return nil, err
-	}
-	// Portfolio workers are CPU-bound; spawning more than the runtime can
-	// schedule in parallel is pure overhead (every worker burns cycles the
-	// winner needs), so the width is clamped into the shared ThreadBudget:
-	// the caller's concurrent lanes × this portfolio's width stays within
-	// GOMAXPROCS. Result.SATThreads reports the effective width.
-	budget := opts.Budget
-	budget.Threads = opts.Threads
-	threads := budget.Clamp().Threads
-	var prober satProber = solver
-	if threads > 1 {
-		// The pool clones the fully built encoding lazily at the first
-		// probe and installs the winning worker's model/core back into the
-		// master, so enc.Decode and the guard bookkeeping stay untouched.
-		prober = sat.NewPool(solver, threads)
 	}
 	res = &Result{
 		WorkArch:   p.Arch,
 		PermPoints: enc.NumPermPoints(),
 		Engine:     EngineSAT.String(),
-		Counters:   Counters{SATEncodes: 1, LowerBound: lb, SATThreads: threads},
+		Counters:   Counters{SATEncodes: 1, LowerBound: lb},
 	}
-
-	var best *encoder.Solution
-	if opts.BinaryDescent {
-		best, err = minimizeBinary(ctx, prober, enc, res, opts, lb)
-	} else {
-		best, err = minimizeLinear(ctx, prober, enc, res, opts, lb)
+	d := &descent{
+		guards: enc,
+		res:    res,
+		opts:   opts,
+		floor:  lb - 1,
+		decode: func() (*encoder.Solution, int, error) {
+			sol, err := enc.Decode()
+			return sol, -1, err
+		},
 	}
-	snap := prober.Snapshot()
-	res.SATConflicts = snap.Conflicts
-	res.SharedClauses = snap.SharedImports
+	best, _, err := d.run(ctx, solver, opts.Threads)
 	// Failures past this point still return the Result with the run's
 	// Counters; only a nil error carries a Solution.
 	if err != nil {
 		return res, err
 	}
 	if best == nil {
-		if opts.StrictBound && opts.StartBound > 0 {
-			return res, fmt.Errorf("exact: %w (no mapping with cost ≤ %d)", ErrUnsatisfiable, opts.StartBound)
-		}
 		return res, fmt.Errorf("exact: %w (unsatisfiable instance)", ErrUnsatisfiable)
 	}
 	res.Solution = best
@@ -244,22 +201,209 @@ func SolveSAT(ctx context.Context, p encoder.Problem, opts SATOptions) (res *Res
 	return res, nil
 }
 
-// startAssumptions returns the initial bound assumption derived from
-// SATOptions.StartBound (nil when disabled).
-func startAssumptions(enc boundGuards, opts SATOptions) []sat.Lit {
-	if opts.StartBound <= 0 {
-		return nil
-	}
-	return []sat.Lit{enc.CostAtMostLit(opts.StartBound)}
+// descent is the §3.3 bound descent on one incremental instance: a single
+// architecture's Encoding or, with fam set, the shared §4.1 subset family.
+// Each probe assumes the bound guards of the next target, linear (F ≤ C−1
+// below the incumbent's cost C) or binary (the midpoint between the
+// refuted floor and C), plus, with a family, the guard of the members
+// still pending at that target; convergence proves the incumbent minimal.
+type descent struct {
+	prober satProber
+	guards boundGuards
+	res    *Result
+	opts   SATOptions
+	// floor is the largest bound refuted before any probe: the admissible
+	// lower bound minus one.
+	floor int
+	// decode reads a Sat model into its solution and, with a family, the
+	// index of the member the model lies on (−1 without one).
+	decode func() (*encoder.Solution, int, error)
+	fam    *family
 }
 
-// relaxable reports whether an Unsat under the current assumptions may be
-// relaxed: no model has been found yet, the only active bound is the
-// caller's unproven StartBound (not a descent-derived one), relaxation is
-// permitted, and the solver blames the assumption rather than the clause
-// set.
-func relaxable(solver satProber, opts SATOptions, assumed, haveModel bool) bool {
-	return assumed && !haveModel && !opts.StrictBound && solver.UnsatFromAssumptions()
+// run widens solver into a clause-sharing portfolio of up to threads
+// workers, descends, and records the solver's counters on the result.
+func (d *descent) run(ctx context.Context, solver *sat.Solver, threads int) (*encoder.Solution, int, error) {
+	// Portfolio workers are CPU-bound; spawning more than the runtime can
+	// schedule in parallel is pure overhead (every worker burns cycles the
+	// winner needs), so the width is clamped into the shared ThreadBudget:
+	// the caller's concurrent lanes × this portfolio's width stays within
+	// GOMAXPROCS. Result.SATThreads reports the effective width.
+	budget := d.opts.Budget
+	budget.Threads = threads
+	d.res.SATThreads = budget.Clamp().Threads
+	d.prober = solver
+	if d.res.SATThreads > 1 {
+		// The pool clones the fully built encoding lazily at the first
+		// probe and installs the winning worker's model/core back into the
+		// master, so decoding and the guard bookkeeping stay untouched.
+		d.prober = sat.NewPool(solver, d.res.SATThreads)
+	}
+	best, idx, err := d.descend(ctx)
+	snap := d.prober.Snapshot()
+	d.res.SATConflicts = snap.Conflicts
+	d.res.SharedClauses = snap.SharedImports
+	return best, idx, err
+}
+
+// descend finds a first model, then tightens the bound until the floor of
+// refuted bounds meets the incumbent. It returns the best model and its
+// member index; a nil model with a nil error means the instance is proven
+// unsatisfiable.
+func (d *descent) descend(ctx context.Context) (*encoder.Solution, int, error) {
+	// The first solve assumes only the caller's StartBound. An UNSAT that
+	// the solver blames on that assumption means it undercut the optimum:
+	// drop it and solve again on the same instance, keeping everything
+	// learnt while refuting it.
+	var bounds []sat.Lit
+	if d.opts.StartBound > 0 {
+		bounds = []sat.Lit{d.guards.CostAtMostLit(d.opts.StartBound)}
+	}
+	for {
+		assume := bounds
+		if d.fam != nil {
+			assume = append([]sat.Lit{d.fam.guard(d.fam.pending(math.MaxInt))}, bounds...)
+		}
+		status := d.probe(ctx, assume, len(bounds) > 0)
+		if status == sat.Sat {
+			break
+		}
+		if status == sat.Unknown {
+			// No model exists yet, so there is nothing for anytime mode to
+			// salvage: both exhaustion kinds are errors.
+			if err := ctx.Err(); err != nil {
+				return nil, -1, fmt.Errorf("exact: solve canceled: %w", err)
+			}
+			return nil, -1, ErrBudgetExhausted
+		}
+		if len(bounds) == 0 || !d.prober.UnsatFromAssumptions() {
+			d.res.Minimal = true // no mapping exists (on any member)
+			return nil, -1, nil
+		}
+		bounds = nil
+	}
+	best, idx, err := d.model()
+	if err != nil {
+		return nil, -1, err
+	}
+
+	lo := d.floor
+	for best.Cost-1 > lo {
+		target := best.Cost - 1
+		if d.opts.BinaryDescent {
+			target = lo + (best.Cost-lo)/2
+		}
+		var pending []int
+		if d.fam != nil {
+			if pending = d.fam.pending(target); len(pending) == 0 {
+				// No member still in the running can reach the target:
+				// the admissible bounds refute it without a probe.
+				lo = target
+				continue
+			}
+		}
+		assume := d.probeBounds(target, lo)
+		if d.fam != nil {
+			assume = append([]sat.Lit{d.fam.guard(pending)}, assume...)
+		}
+		switch d.probe(ctx, assume, true) {
+		case sat.Unknown:
+			if err := ctx.Err(); err != nil && !anytimeReturn(d.opts, true, err) {
+				return nil, -1, fmt.Errorf("exact: solve canceled: %w", err)
+			}
+			d.res.markAnytime(best.Cost, lo)
+			return best, idx, nil // exhausted mid-descent: best-effort, proof truncated
+		case sat.Unsat:
+			if len(pending) > 1 {
+				// One conflict analysis refuted the target for every
+				// pending member at once.
+				d.res.CoreFamilyRefutations++
+			}
+			if refuted := d.refutedBound(assume); refuted > lo {
+				lo = refuted
+			}
+		case sat.Sat:
+			if best, idx, err = d.model(); err != nil {
+				return nil, -1, err
+			}
+		}
+	}
+	d.res.Minimal = true
+	return best, idx, nil
+}
+
+// probe runs one solver call under the assumptions, counting it as a bound
+// probe when it carries a cost guard.
+func (d *descent) probe(ctx context.Context, assume []sat.Lit, bounded bool) sat.Status {
+	d.res.SATSolves++
+	if bounded {
+		d.res.BoundProbes++
+	}
+	return d.prober.SolveContext(ctx, assume...)
+}
+
+// model decodes a Sat answer. With a family, the new incumbent also
+// retires every member whose admissible lower bound shows it cannot do
+// better (Result.SubsetsPruned).
+func (d *descent) model() (*encoder.Solution, int, error) {
+	sol, idx, err := d.decode()
+	if err != nil {
+		return nil, -1, err
+	}
+	if d.fam != nil {
+		d.res.SubsetsPruned += d.fam.retire(sol.Cost)
+	}
+	return sol, idx, nil
+}
+
+// probeBounds builds the guard set for probing `bound` given `lo`, the
+// largest bound already refuted: the primary guard first, then (unless core
+// jumps are disabled) up to two optimistic bounds halfway and quarter-way
+// down towards lo. The order matters: the solver's core minimization tries
+// to remove later assumptions first, so listing loose→tight steers the
+// minimized core towards the loosest refutable bound — the biggest jump.
+func (d *descent) probeBounds(bound, lo int) []sat.Lit {
+	assume := []sat.Lit{d.guards.CostAtMostLit(bound)}
+	if d.opts.NoCoreJumps {
+		return assume
+	}
+	if b1 := lo + (bound-lo)/2; b1 > lo && b1 < bound {
+		assume = append(assume, d.guards.CostAtMostLit(b1))
+		if b2 := lo + (b1-lo)/2; b2 > lo && b2 < b1 {
+			assume = append(assume, d.guards.CostAtMostLit(b2))
+		}
+	}
+	return assume
+}
+
+// refutedBound translates the solver's minimized unsat core back into the
+// loosest cost bound proven unsatisfiable. The guards are nested (the
+// conjunction of a core equals its tightest bound), so a core that kept
+// only the loosest assumed guard refutes the whole probed range in one
+// call; when that beats the trivial reading of the probe (the tightest
+// assumed bound) it counts as a core-guided jump (Result.BoundJumps).
+// Assumptions that are not cost guards, such as a family guard, are
+// skipped.
+func (d *descent) refutedBound(assumed []sat.Lit) int {
+	minAssumed := math.MaxInt
+	for _, g := range assumed {
+		if b, ok := d.guards.GuardBound(g); ok && b < minAssumed {
+			minAssumed = b
+		}
+	}
+	refuted := math.MaxInt
+	for _, g := range d.prober.UnsatCore() {
+		if b, ok := d.guards.GuardBound(g); ok && b < refuted {
+			refuted = b
+		}
+	}
+	if refuted == math.MaxInt {
+		return minAssumed // defensive: no guard survived into the core
+	}
+	if minAssumed != math.MaxInt && refuted > minAssumed {
+		d.res.BoundJumps++
+	}
+	return refuted
 }
 
 // anytimeReturn reports whether a descent cut off by its context should hand
@@ -268,194 +412,4 @@ func relaxable(solver satProber, opts SATOptions, assumed, haveModel bool) bool 
 // (context.Canceled) always errors — anytime softens deadlines, not aborts.
 func anytimeReturn(opts SATOptions, haveModel bool, ctxErr error) bool {
 	return opts.Anytime && haveModel && errors.Is(ctxErr, context.DeadlineExceeded)
-}
-
-// probeAssumptions builds the guard set for probing `bound` given `lo`, the
-// largest bound already refuted: the primary guard first, then (unless core
-// jumps are disabled) up to two optimistic bounds halfway and quarter-way
-// down towards lo. The order matters: the solver's core minimization tries
-// to remove later assumptions first, so listing loose→tight steers the
-// minimized core towards the loosest refutable bound — the biggest jump.
-func probeAssumptions(enc boundGuards, bound, lo int, opts SATOptions) []sat.Lit {
-	assume := []sat.Lit{enc.CostAtMostLit(bound)}
-	if opts.NoCoreJumps {
-		return assume
-	}
-	if b1 := lo + (bound-lo)/2; b1 > lo && b1 < bound {
-		assume = append(assume, enc.CostAtMostLit(b1))
-		if b2 := lo + (b1-lo)/2; b2 > lo && b2 < b1 {
-			assume = append(assume, enc.CostAtMostLit(b2))
-		}
-	}
-	return assume
-}
-
-// coreRefutedBound translates the solver's minimized unsat core back into
-// the loosest cost bound proven unsatisfiable. The guards are nested (the
-// conjunction of a core equals its tightest bound), so a core that kept
-// only the loosest assumed guard refutes the whole probed range in one
-// call. It returns the refuted bound and whether core analysis improved on
-// the trivial reading of the probe (the tightest assumed bound) — a
-// core-guided jump.
-func coreRefutedBound(solver satProber, enc boundGuards, assumed []sat.Lit) (int, bool) {
-	minAssumed := math.MaxInt
-	for _, g := range assumed {
-		if b, ok := enc.GuardBound(g); ok && b < minAssumed {
-			minAssumed = b
-		}
-	}
-	refuted := math.MaxInt
-	for _, g := range solver.UnsatCore() {
-		if b, ok := enc.GuardBound(g); ok && b < refuted {
-			refuted = b
-		}
-	}
-	if refuted == math.MaxInt {
-		refuted = minAssumed // defensive: no guard survived into the core
-	}
-	return refuted, minAssumed != math.MaxInt && refuted > minAssumed
-}
-
-// minimizeLinear performs linear bound descent on one solver instance: each
-// satisfying model's cost C is followed by a probe under the guard
-// assumption F ≤ C−1 (plus optimistic bounds below it) until UNSAT proves
-// minimality of the last model, the model cost reaches the admissible lower
-// bound, or the refuted floor `lo` climbs to meet C−1.
-func minimizeLinear(ctx context.Context, solver satProber, enc *encoder.Encoding, res *Result, opts SATOptions, lb int) (*encoder.Solution, error) {
-	var best *encoder.Solution
-	lo := lb - 1 // largest bound known unsatisfiable (admissibility of lb)
-	assume := startAssumptions(enc, opts)
-	for {
-		res.SATSolves++
-		if len(assume) > 0 {
-			res.BoundProbes++
-		}
-		status := solver.SolveContext(ctx, assume...)
-		switch status {
-		case sat.Unknown:
-			if err := ctx.Err(); err != nil {
-				if !anytimeReturn(opts, best != nil, err) {
-					return nil, fmt.Errorf("exact: solve canceled: %w", err)
-				}
-				res.markAnytime(best.Cost, lo)
-				return best, nil // deadline hit with an incumbent: anytime return
-			}
-			if best == nil {
-				return nil, ErrBudgetExhausted
-			}
-			res.markAnytime(best.Cost, lo)
-			return best, nil // budget exhausted: best-effort, proof truncated
-		case sat.Unsat:
-			if relaxable(solver, opts, len(assume) > 0, best != nil) {
-				// The caller's StartBound undercut the true optimum; drop
-				// the assumption and continue on the same instance, keeping
-				// everything learnt while refuting the bound.
-				assume = nil
-				continue
-			}
-			if best == nil {
-				res.Minimal = true // the instance (or strict bound) is proven UNSAT
-				return nil, nil
-			}
-			// The probe may have carried optimistic bounds below the
-			// primary F ≤ C−1; the core names the loosest bound actually
-			// refuted. Only when that reaches C−1 is the model proven
-			// minimal — otherwise raise the floor and re-probe.
-			refuted, jumped := coreRefutedBound(solver, enc, assume)
-			if jumped {
-				res.BoundJumps++
-			}
-			if refuted > lo {
-				lo = refuted
-			}
-			if lo >= best.Cost-1 {
-				res.Minimal = true
-				return best, nil
-			}
-			assume = probeAssumptions(enc, best.Cost-1, lo, opts)
-			continue
-		}
-		sol, err := enc.Decode()
-		if err != nil {
-			return nil, err
-		}
-		best = sol
-		if sol.Cost-1 <= lo {
-			// The model meets the admissible lower bound (or the refuted
-			// floor): minimal without a closing UNSAT probe.
-			res.Minimal = true
-			return best, nil
-		}
-		assume = probeAssumptions(enc, sol.Cost-1, lo, opts)
-	}
-}
-
-// minimizeBinary performs binary search on the cost bound (the "binary
-// search" alternative mentioned in paper §3.3) on the SAME solver and
-// encoding as the initial solve. The lower end starts at the admissible
-// lower bound instead of −1, each midpoint probe additionally assumes one
-// or two optimistic bounds below the midpoint, and an UNSAT probe advances
-// the lower end to the loosest bound in the solver's minimized assumption
-// core — one call can refute a whole range. SAT probes lower the upper end
-// to the model's cost; convergence proves minimality.
-func minimizeBinary(ctx context.Context, solver satProber, enc *encoder.Encoding, res *Result, opts SATOptions, lb int) (*encoder.Solution, error) {
-	assume := startAssumptions(enc, opts)
-	res.SATSolves++
-	if len(assume) > 0 {
-		res.BoundProbes++
-	}
-	status := solver.SolveContext(ctx, assume...)
-	if status == sat.Unsat && relaxable(solver, opts, len(assume) > 0, false) {
-		res.SATSolves++
-		status = solver.SolveContext(ctx)
-	}
-	if status == sat.Unknown {
-		// No model exists yet at this point, so there is nothing for
-		// anytime mode to salvage: both exhaustion kinds are errors.
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("exact: solve canceled: %w", err)
-		}
-		return nil, ErrBudgetExhausted
-	}
-	if status != sat.Sat {
-		res.Minimal = true // the instance (or strict bound) is proven UNSAT
-		return nil, nil
-	}
-	best, err := enc.Decode()
-	if err != nil {
-		return nil, err
-	}
-	lo := lb - 1 // largest bound refuted: seeded by admissibility, raised by cores
-	for best.Cost > lo+1 {
-		mid := lo + (best.Cost-lo)/2
-		assume := probeAssumptions(enc, mid, lo, opts)
-		res.SATSolves++
-		res.BoundProbes++
-		switch solver.SolveContext(ctx, assume...) {
-		case sat.Unknown:
-			if err := ctx.Err(); err != nil {
-				if !anytimeReturn(opts, best != nil, err) {
-					return nil, fmt.Errorf("exact: solve canceled: %w", err)
-				}
-			}
-			res.markAnytime(best.Cost, lo)
-			return best, nil // exhausted mid-search: best-effort, proof truncated
-		case sat.Unsat:
-			refuted, jumped := coreRefutedBound(solver, enc, assume)
-			if jumped {
-				res.BoundJumps++
-			}
-			if refuted > lo {
-				lo = refuted
-			}
-		case sat.Sat:
-			sol, err := enc.Decode()
-			if err != nil {
-				return nil, err
-			}
-			best = sol
-		}
-	}
-	res.Minimal = true
-	return best, nil
 }

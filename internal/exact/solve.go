@@ -16,9 +16,8 @@ import (
 )
 
 // ErrUnsatisfiable marks a problem with no valid mapping: the interaction
-// graph does not embed in the coupling graph (on any tried subset), or an
-// externally asserted strict SATOptions.StartBound is below the instance's
-// true optimum. Test with errors.Is.
+// graph does not embed in the coupling graph (on any tried subset). Test
+// with errors.Is.
 var ErrUnsatisfiable = errors.New("no valid mapping exists")
 
 // ErrBudgetExhausted marks a SAT run whose conflict budget ran out before
@@ -243,7 +242,7 @@ func solveSubsets(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, pb []
 		// The family's deadline expired mid-fan-out. A subset that already
 		// produced an incumbent makes this a best-effort aggregation, not a
 		// failure — exhaustion on one subset must never discard another's
-		// valid mapping (anytime mode only; historically this erred).
+		// valid mapping (anytime mode only).
 		if !anytimeReturn(opts.SAT, win != nil, err) {
 			return nil, fmt.Errorf("exact: solve canceled: %w", err)
 		}

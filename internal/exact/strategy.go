@@ -4,7 +4,8 @@
 //
 //   - A SAT engine that hands the symbolic formulation of internal/encoder
 //     to the CDCL solver and tightens a cost bound until unsatisfiability
-//     proves minimality.
+//     proves minimality. One bound descent (sat_engine.go) serves both a
+//     single architecture and the §4.1 subset family (shared.go).
 //   - An independent dynamic-programming engine over (frame × mapping)
 //     states, exact for the small mapping spaces of the 5-qubit IBM
 //     devices, used both standalone and as a cross-check of the SAT engine.
