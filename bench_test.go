@@ -461,3 +461,45 @@ func BenchmarkTable1Portfolio(b *testing.B) {
 	b.Run("Cold", func(b *testing.B) { run(b, true) })
 	b.Run("Warm", func(b *testing.B) { run(b, false) })
 }
+
+// BenchmarkMapperHit times Mapper.Map on a cached answer, the common
+// request of a warm service: the store-served solve, rebuilding the op
+// stream from the frame mappings, materialization and every verification
+// layer. Each iteration maps the next of the 25 Table-1 circuits on QX4,
+// all solved once (DP engine) before the timer starts. Memory serves them
+// from the LRU; Store shrinks the LRU to one entry, so cycling through the
+// suite misses it every time and reads the answer back from the store.
+func BenchmarkMapperHit(b *testing.B) {
+	var circs []*Circuit
+	for _, bm := range revlib.Suite() {
+		circs = append(circs, bm.Circuit)
+	}
+	a := QX4()
+	ctx := context.Background()
+	run := func(b *testing.B, tier string, opts ...Option) {
+		opts = append(opts, WithStore(b.TempDir()), WithEngine(EngineDP))
+		m, err := NewMapper(opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer m.Close()
+		for _, c := range circs {
+			if _, err := m.Map(ctx, c, a); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := m.Map(ctx, circs[i%len(circs)], a)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.CacheTier != tier {
+				b.Fatalf("served from %q, want %q", res.CacheTier, tier)
+			}
+		}
+	}
+	b.Run("Memory", func(b *testing.B) { run(b, "memory") })
+	b.Run("Store", func(b *testing.B) { run(b, "disk", WithCacheSize(1)) })
+}

@@ -7,6 +7,7 @@ package circuit
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -207,15 +208,15 @@ func (g Gate) Validate(numQubits int) error {
 			return fmt.Errorf("circuit: mct gate needs at least a target")
 		}
 	}
-	seen := make(map[int]bool, len(g.Qubits))
-	for _, q := range g.Qubits {
+	// Qubit k is checked for range, then against qubits 0..k−1: gates have
+	// a handful of qubits, so the scan beats a set and allocates nothing.
+	for k, q := range g.Qubits {
 		if q < 0 || q >= numQubits {
 			return fmt.Errorf("circuit: qubit %d out of range [0,%d)", q, numQubits)
 		}
-		if seen[q] {
+		if slices.Contains(g.Qubits[:k], q) {
 			return fmt.Errorf("circuit: duplicate qubit %d in %s gate", q, g.Kind)
 		}
-		seen[q] = true
 	}
 	return nil
 }

@@ -92,29 +92,55 @@ func TestGatePanics(t *testing.T) {
 	mustPanic("Controls on H", func() { H(0).Controls() })
 }
 
+// TestGateValidate pins Validate's exact error for each failure ("" for a
+// valid gate), including which qubit is named when several are bad: the
+// first one in order that is out of range or repeats an earlier qubit.
 func TestGateValidate(t *testing.T) {
 	cases := []struct {
-		name    string
-		g       Gate
-		n       int
-		wantErr bool
+		name string
+		g    Gate
+		n    int
+		want string
 	}{
-		{"valid cnot", CNOT(0, 1), 2, false},
-		{"out of range", CNOT(0, 5), 2, true},
-		{"negative qubit", H(-1), 2, true},
-		{"duplicate qubits", Gate{Kind: KindCNOT, Qubits: []int{1, 1}}, 3, true},
-		{"wrong arity 1q", Gate{Kind: KindH, Qubits: []int{0, 1}}, 3, true},
-		{"wrong arity cnot", Gate{Kind: KindCNOT, Qubits: []int{0}}, 3, true},
-		{"empty mct", Gate{Kind: KindMCT}, 3, true},
-		{"mct no controls ok", MCT(nil, 0), 1, false},
-		{"invalid kind", Gate{Kind: Kind(42), Qubits: []int{0}}, 1, true},
-		{"valid swap", SWAP(0, 2), 3, false},
+		{"valid cnot", CNOT(0, 1), 2, ""},
+		{"out of range", CNOT(0, 5), 2, "circuit: qubit 5 out of range [0,2)"},
+		{"negative qubit", H(-1), 2, "circuit: qubit -1 out of range [0,2)"},
+		{"duplicate qubits", Gate{Kind: KindCNOT, Qubits: []int{1, 1}}, 3, "circuit: duplicate qubit 1 in cx gate"},
+		{"wrong arity 1q", Gate{Kind: KindH, Qubits: []int{0, 1}}, 3, "circuit: h gate needs 1 qubit, has 2"},
+		{"wrong arity cnot", Gate{Kind: KindCNOT, Qubits: []int{0}}, 3, "circuit: cx gate needs 2 qubits, has 1"},
+		{"empty mct", Gate{Kind: KindMCT}, 3, "circuit: mct gate needs at least a target"},
+		{"mct no controls ok", MCT(nil, 0), 1, ""},
+		{"invalid kind", Gate{Kind: Kind(42), Qubits: []int{0}}, 1, "circuit: invalid gate kind 42"},
+		{"valid swap", SWAP(0, 2), 3, ""},
+		{"valid mct", MCT([]int{3, 1, 0}, 2), 4, ""},
+		{"negative kind", Gate{Kind: Kind(-1)}, 1, "circuit: invalid gate kind -1"},
+		{"rz without qubit", Gate{Kind: KindRz}, 3, "circuit: rz gate needs 1 qubit, has 0"},
+		{"wrong arity swap", Gate{Kind: KindSWAP, Qubits: []int{0, 1, 2}}, 3, "circuit: swap gate needs 2 qubits, has 3"},
+		{"duplicate swap", SWAP(2, 2), 3, "circuit: duplicate qubit 2 in swap gate"},
+		// The first bad qubit decides: a repeat before a range error, and
+		// a range error before a later repeat.
+		{"repeat before range", MCT([]int{0, 1, 0}, 9), 3, "circuit: duplicate qubit 0 in mct gate"},
+		{"range before repeat", MCT([]int{0, 7, 0}, 0), 3, "circuit: qubit 7 out of range [0,3)"},
+		{"later repeat", MCT([]int{2, 1, 0, 1}, 2), 3, "circuit: duplicate qubit 1 in mct gate"},
+		{"range on first copy", MCT([]int{4, 4}, 1), 3, "circuit: qubit 4 out of range [0,3)"},
 	}
 	for _, tc := range cases {
-		err := tc.g.Validate(tc.n)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("%s: Validate err = %v, wantErr %v", tc.name, err, tc.wantErr)
+		got := ""
+		if err := tc.g.Validate(tc.n); err != nil {
+			got = err.Error()
 		}
+		if got != tc.want {
+			t.Errorf("%s: Validate(%d) = %q, want %q", tc.name, tc.n, got, tc.want)
+		}
+	}
+}
+
+// TestGateValidateAllocs checks that validating a gate allocates nothing:
+// it runs on every Append of QASM parsing and materialization.
+func TestGateValidateAllocs(t *testing.T) {
+	g := MCT([]int{4, 0, 2, 5, 11, 7, 9, 3, 6}, 1)
+	if allocs := testing.AllocsPerRun(100, func() { _ = g.Validate(12) }); allocs != 0 {
+		t.Errorf("Validate allocates %.0f times per call", allocs)
 	}
 }
 

@@ -103,7 +103,7 @@ func Encode(ctx context.Context, p Problem, b *cnf.Builder) (*Encoding, error) {
 	}
 
 	e := &Encoding{layout: layout{B: b, sk: p.Skeleton, perms: perm.All(m)}, prob: p, cm: p.Arch.Cost()}
-	e.permSw, e.permW = permCosts(perm.NewSpace(m, m), e.perms, p.Arch)
+	e.permSw, e.permW = permCosts(e.perms, p.Arch)
 	e.buildFrames(p)
 	e.buildMappingVars(m)
 	e.pinInitialMapping()

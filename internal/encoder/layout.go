@@ -143,18 +143,22 @@ func (l *layout) buildPermutationLinks(ctx context.Context, permSw []int) error 
 	return nil
 }
 
-// permCosts prices every permutation of perms on architecture a: sw[pi] is
-// the SWAP count of its cheapest realization (−1 when unrealizable) and
-// w[pi] its cost under a's cost model (SwapUnit·sw when the swap weights
-// are uniform).
-func permCosts(space *perm.Space, perms []perm.Perm, a *arch.Arch) (sw, w []int) {
+// permCosts prices every permutation of perms (over all of a's physical
+// qubits) on architecture a: sw[pi] is the SWAP count of its cheapest
+// realization (−1 when unrealizable) and w[pi] its cost under a's cost
+// model (SwapUnit·sw when the swap weights are uniform). Uniform weights
+// need only the distances from the identity, one breadth-first search;
+// a weighted model builds its Dijkstra table.
+func permCosts(perms []perm.Perm, a *arch.Arch) (sw, w []int) {
 	cm := a.Cost()
+	m := a.NumQubits()
 	sw = make([]int, len(perms))
 	w = make([]int, len(perms))
 	if cm.UniformSwap() {
-		table := perm.NewSwapTable(space, a.UndirectedEdges())
+		search := perm.NewSwapSearch(m, a.UndirectedEdges())
+		search.Search(perm.IdentityMapping(m))
 		for pi, pp := range perms {
-			sw[pi] = table.PermSwaps(pp)
+			sw[pi] = search.Dist(perm.Mapping(pp))
 			w[pi] = sw[pi]
 			if sw[pi] > 0 {
 				w[pi] = cm.SwapUnit() * sw[pi]
@@ -162,7 +166,7 @@ func permCosts(space *perm.Space, perms []perm.Perm, a *arch.Arch) (sw, w []int)
 		}
 		return sw, w
 	}
-	table := perm.NewWeightedSwapTable(space, a.UndirectedEdges(), cm.EdgeSwapWeight)
+	table := perm.NewWeightedSwapTable(perm.NewSpace(m, m), a.UndirectedEdges(), cm.EdgeSwapWeight)
 	for pi, pp := range perms {
 		sw[pi] = table.PermSwapsAlong(pp)
 		w[pi] = table.PermWeight(pp)

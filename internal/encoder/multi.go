@@ -99,7 +99,6 @@ func EncodeSubsets(ctx context.Context, p SubsetProblem, b *cnf.Builder) (*Multi
 	}
 
 	e := &MultiEncoding{layout: layout{B: b, sk: p.Skeleton, perms: perm.All(n)}, prob: p}
-	space := perm.NewSpace(n, n)
 	e.permSw = make([][]int, len(p.Archs))
 	e.permW = make([][]int, len(p.Archs))
 	e.uniformH = true
@@ -108,7 +107,7 @@ func EncodeSubsets(ctx context.Context, p SubsetProblem, b *cnf.Builder) (*Multi
 		if cm := a.Cost(); !cm.UniformH() || cm.HUnit() != e.hUnit {
 			e.uniformH = false
 		}
-		e.permSw[i], e.permW[i] = permCosts(space, e.perms, a)
+		e.permSw[i], e.permW[i] = permCosts(e.perms, a)
 	}
 
 	e.buildFrames(Problem{Skeleton: p.Skeleton, PermBefore: p.PermBefore})

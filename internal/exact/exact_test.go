@@ -427,6 +427,34 @@ func TestFixedInitialMapping(t *testing.T) {
 	}
 }
 
+// TestFixedInitialMappingWideDevices pins q0→p19 q1→p0 on devices above
+// 16 qubits, where a 4-bit packing of mapping keys read the pin as q0→p3
+// q1→p1: the DP engine must keep the pin and price the route from it. It
+// stops before Result.Ops, which looped without end on the aliased keys.
+func TestFixedInitialMappingWideDevices(t *testing.T) {
+	sk := mkSkeleton(2, [2]int{0, 1})
+	pin := []int{19, 0}
+	for _, tc := range []struct {
+		a    *arch.Arch
+		cost int
+	}{
+		{arch.Tokyo(), 21},
+		{arch.HeavyHex27(), 56},
+		{arch.Linear(20), 130},
+	} {
+		r, err := Solve(bg, sk, tc.a, Options{Engine: EngineDP, InitialMapping: pin})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.a.Name(), err)
+		}
+		if got := r.InitialMapping(); got[0] != pin[0] || got[1] != pin[1] {
+			t.Errorf("%s: initial mapping %v, want the pin %v", tc.a.Name(), got, pin)
+		}
+		if r.Cost != tc.cost || !r.Minimal {
+			t.Errorf("%s: cost %d (minimal %v), want %d", tc.a.Name(), r.Cost, r.Minimal, tc.cost)
+		}
+	}
+}
+
 func TestFixedInitialMappingEnginesAgree(t *testing.T) {
 	a := arch.QX4()
 	f := func(seed int64, pinRaw uint) bool {

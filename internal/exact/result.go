@@ -151,23 +151,22 @@ func (r *Result) FinalMapping() perm.Mapping {
 
 // Ops materializes the mapped skeleton as a stream of SWAP and CNOT
 // operations on the original architecture's physical qubits. The SWAP
-// sequences realizing each inter-frame permutation are recovered from the
-// swap-distance table of the working architecture — the weighted table
-// when its cost model is non-uniform, so the rebuilt paths follow the
-// same cheapest edges the solver charged for — and their count equals the
-// solution's SwapCount (preserving the optimal cost).
+// sequence realizing each inter-frame permutation is found by one
+// breadth-first search from the next frame's mapping (perm.SwapSearch),
+// which returns the all-pairs swap table's path without building the
+// table; under a non-uniform cost model the weighted table is built
+// instead, so the rebuilt paths follow the same cheapest edges the solver
+// charged for. The SWAP count equals the solution's SwapCount (preserving
+// the optimal cost).
 func (r *Result) Ops(sk *circuit.Skeleton) ([]circuit.MappedOp, error) {
 	sol := r.Solution
-	n := sk.NumQubits
-	space := perm.NewSpace(r.WorkArch.NumQubits(), n)
-	cm := r.WorkArch.Cost()
+	m := r.WorkArch.NumQubits()
+	edges := r.WorkArch.UndirectedEdges()
 	var swapPath func(from, to perm.Mapping) ([]perm.Edge, bool)
-	if cm.UniformSwap() {
-		table := perm.NewSwapTable(space, r.WorkArch.UndirectedEdges())
-		swapPath = table.SwapPath
+	if cm := r.WorkArch.Cost(); cm.UniformSwap() {
+		swapPath = perm.NewSwapSearch(m, edges).SwapPath
 	} else {
-		table := perm.NewWeightedSwapTable(space, r.WorkArch.UndirectedEdges(), cm.EdgeSwapWeight)
-		swapPath = table.SwapPath
+		swapPath = perm.NewWeightedSwapTable(perm.NewSpace(m, sk.NumQubits), edges, cm.EdgeSwapWeight).SwapPath
 	}
 
 	var ops []circuit.MappedOp

@@ -293,17 +293,15 @@ func (d *descent) descend(ctx context.Context) (*encoder.Solution, int, error) {
 		if d.opts.BinaryDescent {
 			target = lo + (best.Cost-lo)/2
 		}
+		assume := d.probeBounds(target, lo)
 		var pending []int
 		if d.fam != nil {
-			if pending = d.fam.pending(target); len(pending) == 0 {
-				// No member still in the running can reach the target:
-				// the admissible bounds refute it without a probe.
-				lo = target
-				continue
-			}
-		}
-		assume := d.probeBounds(target, lo)
-		if d.fam != nil {
+			// pending is never empty here: the floor starts at the
+			// smallest member lower bound minus one, so every target is at
+			// least that bound, and the member holding it is retired only
+			// by an incumbent costing at most that bound, which ends the
+			// loop. The smallest-bound member stays pending while it runs.
+			pending = d.fam.pending(target)
 			assume = append([]sat.Lit{d.fam.guard(pending)}, assume...)
 		}
 		switch d.probe(ctx, assume, true) {

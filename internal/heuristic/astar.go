@@ -204,7 +204,10 @@ func astarSwaps(ctx context.Context, gates, next []circuit.CNOTGate, start perm.
 	open := &nodeQueue{}
 	heap.Init(open)
 	heap.Push(open, startNode)
-	bestG := map[uint64]int{start.Key(): 0}
+	// The closed set is keyed by Mapping.Key, collision-free for layouts
+	// of any size; lookups append the key into buf and allocate nothing.
+	bestG := map[string]int{start.Key(): 0}
+	var buf []byte
 
 	var best *node
 	bestTotal := 1 << 30
@@ -234,11 +237,11 @@ func astarSwaps(ctx context.Context, gates, next []circuit.CNOTGate, start perm.
 		for _, e := range a.UndirectedEdges() {
 			nl := cur.layout.ApplySwap(e.A, e.B)
 			ng := cur.g + cm.EdgeSwapWeight(e)
-			key := nl.Key()
-			if prev, ok := bestG[key]; ok && prev <= ng {
+			buf = nl.AppendKey(buf[:0])
+			if prev, ok := bestG[string(buf)]; ok && prev <= ng {
 				continue
 			}
-			bestG[key] = ng
+			bestG[string(buf)] = ng
 			seq := make([]perm.Edge, len(cur.seq)+1)
 			copy(seq, cur.seq)
 			seq[len(cur.seq)] = e

@@ -132,3 +132,16 @@ func TestAStarLayerOptimality(t *testing.T) {
 	}
 	verify(t, sk, a, r)
 }
+
+// TestAStarWideLayout maps 8 qubits on a 300-qubit line: its layouts do
+// not fit a 64-bit key packed with 9 bits per index, so the closed set
+// needs a key that stays collision-free at any size.
+func TestAStarWideLayout(t *testing.T) {
+	a := arch.Linear(300)
+	sk := randomSkeleton(4, 8, 16)
+	r, err := MapAStar(context.Background(), sk, a, AStarOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify(t, sk, a, r)
+}

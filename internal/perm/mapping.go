@@ -1,6 +1,10 @@
 package perm
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
 // Mapping is an injective assignment of logical qubits to physical qubits:
 // m[j] = i means logical qubit j is held by physical qubit i. A Mapping over
@@ -95,18 +99,57 @@ func (mp Mapping) String() string {
 	return s
 }
 
-// Key packs a mapping into a uint64 usable as a map key (4 bits per
-// logical qubit; sufficient for m ≤ 16, n ≤ 16).
-func (mp Mapping) Key() uint64 { return mp.key() }
+// Key encodes a mapping as a string usable as a map key. Each physical
+// index is written as an unsigned varint, a prefix-free code, so distinct
+// mappings of any size always have distinct keys.
+func (mp Mapping) Key() string { return string(mp.AppendKey(nil)) }
 
-// key packs a mapping into a uint64 for table lookups (4 bits per logical
-// qubit; sufficient for m ≤ 16, n ≤ 16).
-func (mp Mapping) key() uint64 {
+// AppendKey appends the bytes of mp.Key() to dst; a map lookup with
+// string(mp.AppendKey(buf[:0])) costs no allocation.
+func (mp Mapping) AppendKey(dst []byte) []byte {
+	for _, i := range mp {
+		if uint(i) < 0x80 {
+			dst = append(dst, byte(i)) // the one-byte varint, inlined
+			continue
+		}
+		dst = binary.AppendUvarint(dst, uint64(i))
+	}
+	return dst
+}
+
+// packWidth returns the bit width of m−1: the fewest bits that hold every
+// physical index of an m-qubit device.
+func packWidth(m int) uint {
+	if m < 2 {
+		return 0
+	}
+	return uint(bits.Len(uint(m - 1)))
+}
+
+// pack packs mp into width bits per logical qubit. For indices below
+// 2^width (width = packWidth(m) on an m-qubit device) distinct mappings
+// get distinct keys as long as len(mp)·width ≤ 64; beyond that, use Key.
+func (mp Mapping) pack(width uint) uint64 {
 	var k uint64
 	for j, i := range mp {
-		k |= uint64(i) << (4 * uint(j))
+		k |= uint64(i) << (width * uint(j))
 	}
 	return k
+}
+
+// swapInto writes into dst the mapping src after exchanging the states of
+// physical qubits e.A and e.B (ApplySwap without the allocation).
+func swapInto(dst, src Mapping, e Edge) {
+	for j, i := range src {
+		switch i {
+		case e.A:
+			dst[j] = e.B
+		case e.B:
+			dst[j] = e.A
+		default:
+			dst[j] = i
+		}
+	}
 }
 
 // Space enumerates all injective mappings of n logical qubits into m
@@ -115,7 +158,10 @@ func (mp Mapping) key() uint64 {
 type Space struct {
 	M, N     int
 	Mappings []Mapping
-	index    map[uint64]int
+	// width is packWidth(m): the index is keyed by pack(width), which
+	// under NewSpace's 10M-mapping cap needs at most 40 bits.
+	width uint
+	index map[uint64]int
 }
 
 // NewSpace builds the mapping space for n logical and m physical qubits.
@@ -132,13 +178,13 @@ func NewSpace(m, n int) *Space {
 			panic(fmt.Sprintf("perm: mapping space m=%d n=%d too large", m, n))
 		}
 	}
-	s := &Space{M: m, N: n, index: make(map[uint64]int, count)}
+	s := &Space{M: m, N: n, width: packWidth(m), index: make(map[uint64]int, count)}
 	cur := make(Mapping, n)
 	used := make([]bool, m)
 	var rec func(j int)
 	rec = func(j int) {
 		if j == n {
-			s.index[cur.key()] = len(s.Mappings)
+			s.index[cur.pack(s.width)] = len(s.Mappings)
 			s.Mappings = append(s.Mappings, cur.Copy())
 			return
 		}
@@ -164,7 +210,12 @@ func (s *Space) Index(mp Mapping) int {
 	if len(mp) != s.N {
 		return -1
 	}
-	idx, ok := s.index[mp.key()]
+	for _, i := range mp {
+		if i < 0 || i >= s.M {
+			return -1
+		}
+	}
+	idx, ok := s.index[mp.pack(s.width)]
 	if !ok {
 		return -1
 	}

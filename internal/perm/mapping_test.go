@@ -135,3 +135,68 @@ func TestApplySwapProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSpaceIndexRoundTripWide covers devices above 16 qubits, where a
+// 4-bit packing of physical indices made distinct mappings share an index
+// (74 of the 380 mappings of NewSpace(20, 2)).
+func TestSpaceIndexRoundTripWide(t *testing.T) {
+	for _, tc := range []struct{ m, n int }{{20, 2}, {27, 2}, {127, 2}, {17, 3}, {10, 6}} {
+		s := NewSpace(tc.m, tc.n)
+		for idx, mp := range s.Mappings {
+			if got := s.Index(mp); got != idx {
+				t.Fatalf("Space(%d,%d): Index(%v) = %d, want %d", tc.m, tc.n, mp, got, idx)
+			}
+		}
+	}
+	s := NewSpace(20, 2)
+	for _, mp := range []Mapping{{20, 0}, {0, 32}, {-1, 0}} {
+		if s.Index(mp) != -1 {
+			t.Errorf("Index(%v) outside the space should be -1", mp)
+		}
+	}
+}
+
+// TestKeyCollisionFree checks that Key tells apart mappings that a 4-bit
+// packing merged (q0→p19 q1→p0 and q0→p3 q1→p1 both packed to 19), and
+// mappings too wide for 64 bits (12 qubits on a 127-qubit device).
+func TestKeyCollisionFree(t *testing.T) {
+	if (Mapping{19, 0}).Key() == (Mapping{3, 1}).Key() {
+		t.Error("keys of [19 0] and [3 1] collide")
+	}
+	a := IdentityMapping(12)
+	for i := range a {
+		a[i] = 126 - i
+	}
+	b := a.Copy()
+	b[11], b[0] = b[0], b[11]
+	if a.Key() == b.Key() {
+		t.Errorf("keys of %v and %v collide", a, b)
+	}
+	seen := map[any]Mapping{}
+	for _, mp := range NewSpace(20, 2).Mappings {
+		if prev, ok := seen[mp.Key()]; ok {
+			t.Fatalf("keys of %v and %v collide", prev, mp)
+		}
+		seen[mp.Key()] = mp
+	}
+	if (Mapping{1, 2}).Key() == (Mapping{1, 2, 0}).Key() {
+		t.Error("mappings of different lengths share a key")
+	}
+}
+
+// TestPack checks the packed key that Space indexes by: packWidth bits per
+// index keep [19 0] and [3 1] apart on a 20-qubit device.
+func TestPack(t *testing.T) {
+	for _, tc := range []struct {
+		m    int
+		want uint
+	}{{0, 0}, {1, 0}, {2, 1}, {5, 3}, {16, 4}, {17, 5}, {20, 5}, {27, 5}, {127, 7}, {300, 9}} {
+		if got := packWidth(tc.m); got != tc.want {
+			t.Errorf("packWidth(%d) = %d, want %d", tc.m, got, tc.want)
+		}
+	}
+	w := packWidth(20)
+	if (Mapping{19, 0}).pack(w) == (Mapping{3, 1}).pack(w) {
+		t.Error("packed keys of [19 0] and [3 1] collide")
+	}
+}

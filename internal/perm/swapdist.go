@@ -1,7 +1,5 @@
 package perm
 
-import "fmt"
-
 // Edge is an undirected coupling-graph edge between two physical qubits.
 // SWAP operations are insertable on any coupled pair regardless of CNOT
 // direction (a SWAP decomposes into 3 CNOTs + 4 H in either orientation,
@@ -26,30 +24,15 @@ type SwapTable struct {
 	// dist[a][b] = minimal number of SWAPs transforming mapping a into b,
 	// or -1 if unreachable (disconnected coupling graph).
 	dist [][]int16
-	// next[a][b] = edge index of a distance-decreasing first swap on a
-	// shortest path from a to b, or -1.
-	next [][]int16
 }
 
 // NewSwapTable computes the all-pairs swap-distance table by breadth-first
 // search from every mapping. Complexity O(|Space|² + |Space|·|Edges|),
 // trivial for the ≤120-mapping spaces of the 5-qubit IBM QX devices.
 func NewSwapTable(space *Space, edges []Edge) *SwapTable {
-	t := &SwapTable{Space: space}
-	seen := make(map[Edge]bool)
-	for _, e := range edges {
-		n := e.Normalize()
-		if n.A == n.B || n.A < 0 || n.B >= space.M {
-			panic(fmt.Sprintf("perm: invalid edge %+v for m=%d", e, space.M))
-		}
-		if !seen[n] {
-			seen[n] = true
-			t.Edges = append(t.Edges, n)
-		}
-	}
+	t := &SwapTable{Space: space, Edges: normalizeEdges(edges, space.M)}
 	size := space.Size()
 	t.dist = make([][]int16, size)
-	t.next = make([][]int16, size)
 
 	// Precompute the neighbor structure once: neighbor[a][e] is the index
 	// of the mapping obtained from mapping a by swapping edge e.
@@ -65,10 +48,8 @@ func NewSwapTable(space *Space, edges []Edge) *SwapTable {
 	queue := make([]int32, 0, size)
 	for src := 0; src < size; src++ {
 		d := make([]int16, size)
-		nx := make([]int16, size)
 		for i := range d {
 			d[i] = -1
-			nx[i] = -1
 		}
 		d[src] = 0
 		queue = queue[:0]
@@ -86,23 +67,6 @@ func NewSwapTable(space *Space, edges []Edge) *SwapTable {
 		}
 		// BFS gives dist from src to every target; store per-source row.
 		t.dist[src] = d
-		t.next[src] = nx
-	}
-	// Fill first-move table using the completed distance matrix:
-	// next[a][b] = an edge e with dist(swap_e(a), b) == dist(a,b) − 1.
-	for a := 0; a < size; a++ {
-		for b := 0; b < size; b++ {
-			if a == b || t.dist[a][b] <= 0 {
-				continue
-			}
-			for ei := range t.Edges {
-				nb := neighbor[a][ei]
-				if t.dist[nb][b] == t.dist[a][b]-1 {
-					t.next[a][b] = int16(ei)
-					break
-				}
-			}
-		}
 	}
 	return t
 }
@@ -120,51 +84,10 @@ func (t *SwapTable) MinSwaps(from, to Mapping) int {
 // MinSwapsIdx is MinSwaps on dense indices.
 func (t *SwapTable) MinSwapsIdx(a, b int) int { return int(t.dist[a][b]) }
 
-// SwapPath returns a minimal sequence of edges whose successive application
-// transforms from into to. It returns nil, false if to is unreachable.
-func (t *SwapTable) SwapPath(from, to Mapping) ([]Edge, bool) {
-	a, b := t.Space.Index(from), t.Space.Index(to)
-	if a < 0 || b < 0 {
-		panic("perm: mapping not in space")
-	}
-	if t.dist[a][b] < 0 {
-		return nil, false
-	}
-	var path []Edge
-	cur := from.Copy()
-	ci := a
-	for ci != b {
-		ei := t.next[ci][b]
-		if ei < 0 {
-			return nil, false
-		}
-		e := t.Edges[ei]
-		path = append(path, e)
-		cur = cur.ApplySwap(e.A, e.B)
-		ci = t.Space.Index(cur)
-	}
-	return path, true
-}
-
 // Reachable reports whether any mapping can be transformed into any other
 // (true iff the coupling graph restricted to the space is connected enough).
 func (t *SwapTable) Reachable(from, to Mapping) bool {
 	return t.MinSwaps(from, to) >= 0
-}
-
-// PermSwaps computes swaps(π) for a full permutation π of the space's
-// physical qubits: the minimal number of coupling-edge SWAPs realizing π.
-// It requires a full space (n == m); the result is independent of the
-// starting mapping. Returns −1 if π is unrealizable.
-func (t *SwapTable) PermSwaps(p Perm) int {
-	if t.Space.N != t.Space.M {
-		panic("perm: PermSwaps requires a full mapping space (n == m)")
-	}
-	if len(p) != t.Space.M {
-		panic("perm: permutation size mismatch")
-	}
-	id := IdentityMapping(t.Space.M)
-	return t.MinSwaps(id, Mapping(p))
 }
 
 // MaxDistance returns the diameter of the swap graph (the largest finite

@@ -11,6 +11,32 @@ func qx4Edges() []Edge {
 	return []Edge{{1, 0}, {2, 0}, {2, 1}, {3, 2}, {3, 4}, {4, 2}}
 }
 
+// tableSwapPath is the reference shortest path over the all-pairs table:
+// from each mapping it takes the first edge, in t.Edges order, whose swap
+// brings it one step closer to to. SwapSearch.SwapPath must return exactly
+// this path for every pair.
+func tableSwapPath(t *SwapTable, from, to Mapping) ([]Edge, bool) {
+	b := t.Space.Index(to)
+	d := t.MinSwaps(from, to)
+	if d < 0 {
+		return nil, false
+	}
+	var path []Edge
+	cur := from
+step:
+	for d > 0 {
+		for _, e := range t.Edges {
+			nb := cur.ApplySwap(e.A, e.B)
+			if t.MinSwapsIdx(t.Space.Index(nb), b) == d-1 {
+				path, cur, d = append(path, e), nb, d-1
+				continue step
+			}
+		}
+		return nil, false
+	}
+	return path, true
+}
+
 func TestNewSwapTableDedupesEdges(t *testing.T) {
 	s := NewSpace(3, 3)
 	tbl := NewSwapTable(s, []Edge{{0, 1}, {1, 0}, {0, 1}, {1, 2}})
@@ -63,23 +89,25 @@ func TestDisconnectedGraphUnreachable(t *testing.T) {
 	if !tbl.Reachable(Mapping{0}, Mapping{1}) {
 		t.Error("token should move within component")
 	}
-	if _, ok := tbl.SwapPath(Mapping{0}, Mapping{3}); ok {
+	if _, ok := tableSwapPath(tbl, Mapping{0}, Mapping{3}); ok {
 		t.Error("SwapPath should fail across components")
 	}
 }
 
 func TestQX4PermSwapsTable(t *testing.T) {
-	// Full permutation space on QX4. Every permutation must be realizable
-	// (the graph is connected), identity costs 0, single edge swaps cost 1.
-	s := NewSpace(5, 5)
-	tbl := NewSwapTable(s, qx4Edges())
-	if got := tbl.PermSwaps(Identity(5)); got != 0 {
+	// Full permutation space on QX4, priced as the encoder prices it: one
+	// search from the identity. Every permutation must be realizable (the
+	// graph is connected), identity costs 0, single edge swaps cost 1.
+	d := NewSwapSearch(5, qx4Edges())
+	d.Search(IdentityMapping(5))
+	swaps := func(p Perm) int { return d.Dist(Mapping(p)) }
+	if got := swaps(Identity(5)); got != 0 {
 		t.Errorf("identity swaps = %d", got)
 	}
 	for _, e := range qx4Edges() {
 		p := Identity(5)
 		p[e.A], p[e.B] = p[e.B], p[e.A]
-		if got := tbl.PermSwaps(p); got != 1 {
+		if got := swaps(p); got != 1 {
 			t.Errorf("edge swap %+v costs %d, want 1", e, got)
 		}
 	}
@@ -88,12 +116,12 @@ func TestQX4PermSwapsTable(t *testing.T) {
 	// middle).
 	p := Identity(5)
 	p[0], p[4] = p[4], p[0]
-	if got := tbl.PermSwaps(p); got != 3 {
+	if got := swaps(p); got != 3 {
 		t.Errorf("p0↔p4 swaps = %d, want 3", got)
 	}
 	// Every permutation realizable; swaps(π) ≥ unrestricted lower bound.
 	for _, pp := range All(5) {
-		sw := tbl.PermSwaps(pp)
+		sw := swaps(pp)
 		if sw < 0 {
 			t.Fatalf("perm %v unrealizable on connected QX4", pp)
 		}
@@ -109,7 +137,7 @@ func TestSwapPathRealizesMapping(t *testing.T) {
 	f := func(ai, bi uint) bool {
 		a := s.Mapping(int(ai % uint(s.Size())))
 		b := s.Mapping(int(bi % uint(s.Size())))
-		path, ok := tbl.SwapPath(a, b)
+		path, ok := tableSwapPath(tbl, a, b)
 		if !ok {
 			return false // QX4 connected: everything reachable
 		}
@@ -159,15 +187,4 @@ func TestMaxDistanceQX4(t *testing.T) {
 		t.Errorf("QX4 diameter = %d, outside plausible range [3,8]", d)
 	}
 	t.Logf("QX4 full-permutation token-swap diameter: %d", d)
-}
-
-func TestPermSwapsPanics(t *testing.T) {
-	s := NewSpace(5, 3)
-	tbl := NewSwapTable(s, qx4Edges())
-	defer func() {
-		if recover() == nil {
-			t.Error("PermSwaps on partial space should panic")
-		}
-	}()
-	tbl.PermSwaps(Identity(5))
 }

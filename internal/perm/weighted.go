@@ -54,22 +54,13 @@ func (h *wstHeap) Pop() (x any) { old := *h; n := len(old); x = old[n-1]; *h = o
 // by a Dijkstra sweep from every mapping, with weight(e) the SWAP weight
 // of coupling edge e (must be ≥ 1 so paths strictly descend).
 func NewWeightedSwapTable(space *Space, edges []Edge, weight func(Edge) int) *WeightedSwapTable {
-	t := &WeightedSwapTable{Space: space}
-	seen := make(map[Edge]bool)
-	for _, e := range edges {
-		n := e.Normalize()
-		if n.A == n.B || n.A < 0 || n.B >= space.M {
-			panic(fmt.Sprintf("perm: invalid edge %+v for m=%d", e, space.M))
+	t := &WeightedSwapTable{Space: space, Edges: normalizeEdges(edges, space.M)}
+	for _, e := range t.Edges {
+		w := weight(e)
+		if w < 1 {
+			panic(fmt.Sprintf("perm: swap weight %d on %+v must be >= 1", w, e))
 		}
-		if !seen[n] {
-			seen[n] = true
-			w := weight(n)
-			if w < 1 {
-				panic(fmt.Sprintf("perm: swap weight %d on %+v must be >= 1", w, n))
-			}
-			t.Edges = append(t.Edges, n)
-			t.weight = append(t.weight, w)
-		}
+		t.weight = append(t.weight, w)
 	}
 	size := space.Size()
 	t.dist = make([][]int32, size)

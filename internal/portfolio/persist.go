@@ -18,8 +18,12 @@ import (
 // Bump whenever the persisted layout, the encoder's solution semantics or
 // the solver's cost model changes. v2 added the working architecture's
 // cost model to the record (a v1 record decoded under v2 would silently
-// drop a non-uniform model, so the old schema is fully invalidated).
-const SchemaVersion = "qxr-v2"
+// drop a non-uniform model, so the old schema is fully invalidated). v3
+// invalidates the records of builds that packed mapping keys into 4 bits
+// per physical qubit: on devices above 16 qubits those aliased distinct
+// mappings, so a v2 record can hold a solution that ignores a pinned
+// initial layout or swap counts taken from the wrong mappings.
+const SchemaVersion = "qxr-v3"
 
 // StoreKey derives the persistent-tier key for an instance fingerprint:
 // the schema tag joined with the content hash. Records written under a

@@ -90,19 +90,6 @@ func (a *arena) setActivity(c ClauseRef, v float64) {
 	a.data[c+2] = Lit(int32(math.Float32bits(float32(v))))
 }
 
-// shrink drops the literal at index i ≥ 2 (self-subsumption strengthening),
-// compacting the literal block in place. The freed word is tombstone waste.
-func (a *arena) shrink(c ClauseRef, i int) {
-	n := a.size(c)
-	ls := a.lits(c)
-	ls[i] = ls[n-1]
-	a.data[c] = Lit((n-1)<<flagBits) | (a.data[c] & (flagLearnt | flagDeleted))
-	// The trailing word is now dead; make it an innocuous zero and account
-	// for it so GC pressure still builds up.
-	a.data[int(c)+headerWords+n-1] = 0
-	a.wasted++
-}
-
 // gcInto copies every live clause reachable from refs into dst (in list
 // order), rewriting each list entry, and returns a forwarding map for refs
 // stored elsewhere (reason slots). Deleted clauses are dropped from the

@@ -60,12 +60,6 @@ func (h *varHeap) update(v Var) {
 	}
 }
 
-// rebuild restores heap order after all activities were rescaled.
-// Rescaling divides everything by the same constant, so relative order is
-// unchanged and no action is needed; the method exists for clarity at call
-// sites.
-func (h *varHeap) rebuild() {}
-
 func (h *varHeap) up(i int) {
 	v := h.heap[i]
 	for i > 0 {

@@ -352,11 +352,11 @@ func (s *Solver) cancelUntil(lvl int) {
 func (s *Solver) bumpVar(v Var) {
 	s.activity[v] += s.varInc
 	if s.activity[v] > 1e100 {
+		// Rescaling every activity by one constant keeps the heap order.
 		for i := range s.activity {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
-		s.order.rebuild()
 	}
 	s.order.update(v)
 }

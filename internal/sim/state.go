@@ -39,11 +39,7 @@ func NewState(n int) *State {
 // NewBasisState returns the computational basis state |index⟩.
 func NewBasisState(n, index int) *State {
 	s := NewState(n)
-	if index < 0 || index >= len(s.amps) {
-		panic("sim: basis index out of range")
-	}
-	s.amps[0] = 0
-	s.amps[index] = 1
+	s.Reset(index)
 	return s
 }
 
@@ -71,84 +67,140 @@ func uMatrix(theta, phi, lambda float64) [2][2]complex128 {
 	}
 }
 
-// applySingle applies a 2×2 matrix to qubit q.
-func (s *State) applySingle(q int, m [2][2]complex128) {
-	bit := 1 << uint(q)
-	for i := range s.amps {
-		if i&bit != 0 {
-			continue
-		}
-		a0, a1 := s.amps[i], s.amps[i|bit]
-		s.amps[i] = m[0][0]*a0 + m[0][1]*a1
-		s.amps[i|bit] = m[1][0]*a0 + m[1][1]*a1
-	}
+// Program is a circuit compiled for an n-qubit state: every gate validated
+// and every single-qubit matrix computed once, so running it on many input
+// states repeats neither. Apply and Run compile too, so all simulation
+// goes through the same amplitude loops.
+type Program struct {
+	n   int
+	ops []op
 }
 
-// Apply applies one gate to the state.
-func (s *State) Apply(g circuit.Gate) error {
-	if err := g.Validate(s.n); err != nil {
-		return err
+// op is one compiled gate. It acts on the amplitude pairs (i, i^flip) with
+// i = set|sub for every subset sub of the bits in free, and either applies
+// the 2×2 matrix u to each pair (a single-qubit gate; unitary set) or
+// exchanges the pair's amplitudes (CNOT, SWAP, MCT). The pairs are
+// enumerated directly, so the loops test no index bits.
+type op struct {
+	set, flip, free int
+	unitary         bool
+	u               [2][2]complex128
+}
+
+// Compile validates every gate of c against an n-qubit state and compiles
+// it. The error is the first invalid gate's, as Run would report it.
+func Compile(c *circuit.Circuit, n int) (*Program, error) {
+	if c.NumQubits() > n {
+		return nil, fmt.Errorf("sim: circuit needs %d qubits, state has %d", c.NumQubits(), n)
 	}
+	p := &Program{n: n, ops: make([]op, len(c.Gates()))}
+	for k, g := range c.Gates() {
+		var err error
+		if p.ops[k], err = compileGate(g, n); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// compileGate validates g against an n-qubit state and compiles it.
+func compileGate(g circuit.Gate, n int) (op, error) {
+	if err := g.Validate(n); err != nil {
+		return op{}, err
+	}
+	all := 1<<uint(n) - 1
+	bit := func(q int) int { return 1 << uint(q) }
 	switch g.Kind {
 	case circuit.KindCNOT:
-		s.applyCNOT(g.Qubits[0], g.Qubits[1])
+		c, t := bit(g.Qubits[0]), bit(g.Qubits[1])
+		return op{set: c, flip: t, free: all &^ (c | t)}, nil
 	case circuit.KindSWAP:
-		s.applySWAP(g.Qubits[0], g.Qubits[1])
+		a, b := bit(g.Qubits[0]), bit(g.Qubits[1])
+		return op{set: a, flip: a | b, free: all &^ (a | b)}, nil
 	case circuit.KindMCT:
-		s.applyMCT(g.Qubits[:len(g.Qubits)-1], g.Qubits[len(g.Qubits)-1])
-	default:
-		u, ok := g.AsU()
-		if !ok {
-			return fmt.Errorf("sim: unsupported gate %s", g)
+		var cmask int
+		for _, c := range g.Qubits[:len(g.Qubits)-1] {
+			cmask |= bit(c)
 		}
-		s.applySingle(u.Qubits[0], uMatrix(u.Theta, u.Phi, u.Lambda))
+		t := bit(g.Qubits[len(g.Qubits)-1])
+		return op{set: cmask, flip: t, free: all &^ (cmask | t)}, nil
 	}
+	u, ok := g.AsU()
+	if !ok {
+		return op{}, fmt.Errorf("sim: unsupported gate %s", g)
+	}
+	q := bit(u.Qubits[0])
+	return op{flip: q, free: all &^ q, unitary: true, u: uMatrix(u.Theta, u.Phi, u.Lambda)}, nil
+}
+
+// Exec applies a compiled program to the state. It panics if the program
+// was compiled for a different number of qubits.
+func (s *State) Exec(p *Program) {
+	if p.n != s.n {
+		panic(fmt.Sprintf("sim: program for %d qubits run on a %d-qubit state", p.n, s.n))
+	}
+	for k := range p.ops {
+		s.exec(&p.ops[k])
+	}
+}
+
+// exec applies one compiled gate. sub steps through the subsets of o.free
+// in increasing order ((sub − free) & free is the next one) and ends with
+// free itself.
+func (s *State) exec(o *op) {
+	a, set, flip, free := s.amps, o.set, o.flip, o.free
+	if o.unitary {
+		m00, m01, m10, m11 := o.u[0][0], o.u[0][1], o.u[1][0], o.u[1][1]
+		for sub := 0; ; sub = (sub - free) & free {
+			i := set | sub
+			j := i ^ flip
+			a0, a1 := a[i], a[j]
+			a[i] = m00*a0 + m01*a1
+			a[j] = m10*a0 + m11*a1
+			if sub == free {
+				return
+			}
+		}
+	}
+	for sub := 0; ; sub = (sub - free) & free {
+		i := set | sub
+		j := i ^ flip
+		a[i], a[j] = a[j], a[i]
+		if sub == free {
+			return
+		}
+	}
+}
+
+// Apply applies one gate to the state. An invalid gate returns its
+// validation error and leaves the state unchanged.
+func (s *State) Apply(g circuit.Gate) error {
+	o, err := compileGate(g, s.n)
+	if err != nil {
+		return err
+	}
+	s.exec(&o)
 	return nil
 }
 
-func (s *State) applyCNOT(control, target int) {
-	cb, tb := 1<<uint(control), 1<<uint(target)
-	for i := range s.amps {
-		if i&cb != 0 && i&tb == 0 {
-			s.amps[i], s.amps[i|tb] = s.amps[i|tb], s.amps[i]
-		}
-	}
-}
-
-func (s *State) applySWAP(a, b int) {
-	ab, bb := 1<<uint(a), 1<<uint(b)
-	for i := range s.amps {
-		if i&ab != 0 && i&bb == 0 {
-			j := i&^ab | bb
-			s.amps[i], s.amps[j] = s.amps[j], s.amps[i]
-		}
-	}
-}
-
-func (s *State) applyMCT(controls []int, target int) {
-	var cmask int
-	for _, c := range controls {
-		cmask |= 1 << uint(c)
-	}
-	tb := 1 << uint(target)
-	for i := range s.amps {
-		if i&cmask == cmask && i&tb == 0 {
-			s.amps[i], s.amps[i|tb] = s.amps[i|tb], s.amps[i]
-		}
-	}
-}
-
-// Run applies every gate of the circuit in order.
+// Run applies every gate of the circuit in order. If any gate is invalid
+// it returns that gate's error before applying anything.
 func (s *State) Run(c *circuit.Circuit) error {
-	if c.NumQubits() > s.n {
-		return fmt.Errorf("sim: circuit needs %d qubits, state has %d", c.NumQubits(), s.n)
+	p, err := Compile(c, s.n)
+	if err != nil {
+		return err
 	}
-	for _, g := range c.Gates() {
-		if err := s.Apply(g); err != nil {
-			return err
-		}
-	}
+	s.Exec(p)
 	return nil
+}
+
+// Reset sets the state to the computational basis state |index⟩ in place.
+func (s *State) Reset(index int) {
+	if index < 0 || index >= len(s.amps) {
+		panic("sim: basis index out of range")
+	}
+	clear(s.amps)
+	s.amps[index] = 1
 }
 
 // InnerProduct returns ⟨s|o⟩.

@@ -173,6 +173,11 @@ func SkeletonOps(sk *circuit.Skeleton, m int, ops []circuit.MappedOp, initial, f
 // the original, relocated by the final layout, up to one uniform global
 // phase. Unused physical qubits must start and end in |0⟩.
 //
+// Both circuits are compiled once (sim.Compile: gates validated, matrices
+// computed) and their two state vectors and the expected-state buffer are
+// reused across the basis inputs; the amplitudes, hence every fidelity and
+// phase decision, are those of simulating each input afresh.
+//
 // Cost is O(2^n · 2^m) amplitudes; intended for the ≤ 5-qubit circuits and
 // devices of the paper's evaluation (hard limit sim.MaxQubits).
 func Equivalent(original, mapped *circuit.Circuit, m int, initial, final perm.Mapping) error {
@@ -183,26 +188,33 @@ func Equivalent(original, mapped *circuit.Circuit, m int, initial, final perm.Ma
 	if len(initial) != n || len(final) != n {
 		return fmt.Errorf("verify: layout sizes %d/%d for %d qubits", len(initial), len(final), n)
 	}
+	orig := sim.NewState(n)
+	origProg, err := sim.Compile(original, n)
+	if err != nil {
+		return fmt.Errorf("verify: simulating original: %w", err)
+	}
+	mapState := sim.NewState(m)
+	mapProg, err := sim.Compile(mapped, m)
+	if err != nil {
+		return fmt.Errorf("verify: simulating mapped: %w", err)
+	}
 	const eps = 1e-9
 	var phase complex128
+	exp := make([]complex128, 1<<uint(m))
 	for b := 0; b < 1<<uint(n); b++ {
-		orig := sim.NewBasisState(n, b)
-		if err := orig.Run(original); err != nil {
-			return fmt.Errorf("verify: simulating original: %w", err)
-		}
+		orig.Reset(b)
+		orig.Exec(origProg)
 		idx := 0
 		for j := 0; j < n; j++ {
 			if b>>uint(j)&1 == 1 {
 				idx |= 1 << uint(initial[j])
 			}
 		}
-		mapState := sim.NewBasisState(m, idx)
-		if err := mapState.Run(mapped); err != nil {
-			return fmt.Errorf("verify: simulating mapped: %w", err)
-		}
+		mapState.Reset(idx)
+		mapState.Exec(mapProg)
 		// Build the expected state: original amplitudes relocated through
 		// the final layout, unused qubits |0⟩.
-		exp := make([]complex128, 1<<uint(m))
+		clear(exp)
 		for x := 0; x < 1<<uint(n); x++ {
 			y := 0
 			for j := 0; j < n; j++ {
