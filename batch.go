@@ -108,12 +108,3 @@ func (m *Mapper) runJob(ctx context.Context, i int, job Job, timeout time.Durati
 	res, err := m.MapWith(ctx, job.Circuit, job.Arch, job.Opts)
 	return BatchResult{Index: i, Job: job, Result: res, Err: err}
 }
-
-// MapBatch maps a batch of jobs on the process-wide default Mapper.
-//
-// Deprecated: MapBatch delegates to the default Mapper (see Default),
-// whose portfolio cache is shared process-wide. New code should create an
-// instance with NewMapper and call Mapper.MapBatch.
-func MapBatch(ctx context.Context, jobs []Job, opts BatchOptions) []BatchResult {
-	return Default().MapBatch(ctx, jobs, opts)
-}

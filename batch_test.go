@@ -26,8 +26,9 @@ func suite20(method Method) []Job {
 // suite mapped concurrently must produce exactly the costs of sequential
 // Map calls on the same jobs.
 func TestMapBatchParityWithSequential(t *testing.T) {
+	mp := newTestMapper(t)
 	jobs := suite20(MethodExact)
-	batch := MapBatch(context.Background(), jobs, BatchOptions{Workers: 8})
+	batch := mp.MapBatch(context.Background(), jobs, BatchOptions{Workers: 8})
 	if len(batch) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(batch), len(jobs))
 	}
@@ -38,7 +39,7 @@ func TestMapBatchParityWithSequential(t *testing.T) {
 		if br.Index != i {
 			t.Errorf("result %d carries index %d", i, br.Index)
 		}
-		seq, err := Map(jobs[i].Circuit, jobs[i].Arch, jobs[i].Opts)
+		seq, err := mp.MapWith(context.Background(), jobs[i].Circuit, jobs[i].Arch, jobs[i].Opts)
 		if err != nil {
 			t.Fatalf("sequential job %d: %v", i, err)
 		}
@@ -55,6 +56,7 @@ func TestMapBatchParityWithSequential(t *testing.T) {
 // the race detector in CI) and checks no heuristic beats the exact
 // minimum on the shared instance.
 func TestMapBatchMixedMethods(t *testing.T) {
+	mp := newTestMapper(t)
 	c := Figure1a()
 	methods := []Method{MethodExact, MethodExactSubsets, MethodDisjoint,
 		MethodOdd, MethodTriangle, MethodHeuristic, MethodAStar, MethodSabre}
@@ -72,7 +74,7 @@ func TestMapBatchMixedMethods(t *testing.T) {
 	jobs = append(jobs, Job{Name: "portfolio", Circuit: c, Arch: QX4(),
 		Opts: Options{Portfolio: true}})
 
-	for _, br := range MapBatch(context.Background(), jobs, BatchOptions{}) {
+	for _, br := range mp.MapBatch(context.Background(), jobs, BatchOptions{}) {
 		if br.Err != nil {
 			t.Fatalf("%s: %v", br.Job.Name, br.Err)
 		}
@@ -88,9 +90,10 @@ func TestMapBatchMixedMethods(t *testing.T) {
 // TestMapBatchFailSoft: a malformed job fails alone; the rest of the batch
 // completes.
 func TestMapBatchFailSoft(t *testing.T) {
+	mp := newTestMapper(t)
 	good := Job{Circuit: Figure1a(), Arch: QX4(), Opts: Options{Engine: EngineDP}}
 	bad := Job{Circuit: NewCircuit(6).AddCNOT(0, 5), Arch: QX4()} // 6 qubits on QX4
-	batch := MapBatch(context.Background(), []Job{good, bad, good}, BatchOptions{Workers: 2})
+	batch := mp.MapBatch(context.Background(), []Job{good, bad, good}, BatchOptions{Workers: 2})
 	if batch[0].Err != nil || batch[2].Err != nil {
 		t.Errorf("good jobs failed: %v / %v", batch[0].Err, batch[2].Err)
 	}
@@ -106,20 +109,21 @@ func TestMapBatchFailSoft(t *testing.T) {
 // jobs alike — MethodHeuristic and MethodSabre observe ctx between
 // restarts/passes, so a hopeless deadline must fail them too.
 func TestMapBatchJobTimeout(t *testing.T) {
+	mp := newTestMapper(t)
 	c := randomElementary(3, 5, 24)
 	var jobs []Job
 	for _, m := range []Method{MethodExact, MethodHeuristic, MethodSabre} {
 		jobs = append(jobs, Job{Name: m.String(), Circuit: c, Arch: QX4(),
 			Opts: Options{Method: m, Engine: EngineDP, Lookahead: 0.5}})
 	}
-	batch := MapBatch(context.Background(), jobs, BatchOptions{JobTimeout: time.Nanosecond})
+	batch := mp.MapBatch(context.Background(), jobs, BatchOptions{JobTimeout: time.Nanosecond})
 	for _, br := range batch {
 		if !errors.Is(br.Err, context.DeadlineExceeded) {
 			t.Errorf("%s: err = %v, want context.DeadlineExceeded", br.Job.Name, br.Err)
 		}
 	}
 	// The same jobs succeed without the deadline.
-	for _, br := range MapBatch(context.Background(), jobs, BatchOptions{}) {
+	for _, br := range mp.MapBatch(context.Background(), jobs, BatchOptions{}) {
 		if br.Err != nil {
 			t.Errorf("%s without timeout: %v", br.Job.Name, br.Err)
 		}
@@ -129,9 +133,10 @@ func TestMapBatchJobTimeout(t *testing.T) {
 // TestMapBatchCancellation: cancelling the batch context fails the
 // remaining jobs fail-soft instead of hanging or panicking.
 func TestMapBatchCancellation(t *testing.T) {
+	mp := newTestMapper(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	batch := MapBatch(ctx, suite20(MethodExact), BatchOptions{Workers: 4})
+	batch := mp.MapBatch(ctx, suite20(MethodExact), BatchOptions{Workers: 4})
 	for i, br := range batch {
 		if !errors.Is(br.Err, context.Canceled) {
 			t.Errorf("job %d: err = %v, want context.Canceled", i, br.Err)
@@ -140,12 +145,13 @@ func TestMapBatchCancellation(t *testing.T) {
 }
 
 // TestMapBatchSharedPortfolioCache: identical Portfolio jobs within one
-// batch share the process-wide cache — with a single worker the second
-// job must be served from memory.
+// batch share the Mapper's cache — with a single worker the second job
+// must be served from memory.
 func TestMapBatchSharedPortfolioCache(t *testing.T) {
+	mp := newTestMapper(t)
 	c := randomElementary(91, 4, 9) // distinct instance from other tests
 	job := Job{Circuit: c, Arch: QX4(), Opts: Options{Portfolio: true}}
-	batch := MapBatch(context.Background(), []Job{job, job}, BatchOptions{Workers: 1})
+	batch := mp.MapBatch(context.Background(), []Job{job, job}, BatchOptions{Workers: 1})
 	for i, br := range batch {
 		if br.Err != nil {
 			t.Fatalf("job %d: %v", i, br.Err)
@@ -163,6 +169,7 @@ func TestMapBatchSharedPortfolioCache(t *testing.T) {
 // the full pipeline: gateless circuits and single-qubit-only circuits map
 // with zero cost under every method.
 func TestMapBatchEmptyAndZeroCNOTCircuits(t *testing.T) {
+	mp := newTestMapper(t)
 	var jobs []Job
 	for _, m := range []Method{MethodExact, MethodHeuristic, MethodSabre} {
 		jobs = append(jobs,
@@ -170,7 +177,7 @@ func TestMapBatchEmptyAndZeroCNOTCircuits(t *testing.T) {
 			Job{Name: "1q/" + m.String(), Circuit: NewCircuit(3).AddH(0).AddT(1).AddX(2), Arch: QX4(), Opts: Options{Method: m}},
 		)
 	}
-	for _, br := range MapBatch(context.Background(), jobs, BatchOptions{Workers: 3}) {
+	for _, br := range mp.MapBatch(context.Background(), jobs, BatchOptions{Workers: 3}) {
 		if br.Err != nil {
 			t.Fatalf("%s: %v", br.Job.Name, br.Err)
 		}
@@ -187,7 +194,8 @@ func TestMapBatchEmptyAndZeroCNOTCircuits(t *testing.T) {
 // TestResultStatsReportsStages: the staged pipeline reports per-stage
 // wall-clock durations and solver provenance.
 func TestResultStatsReportsStages(t *testing.T) {
-	res, err := Map(Figure1a(), QX4(), Options{Engine: EngineSAT, Optimize: true})
+	mp := newTestMapper(t)
+	res, err := mp.MapWith(context.Background(), Figure1a(), QX4(), Options{Engine: EngineSAT, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

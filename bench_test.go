@@ -221,10 +221,11 @@ func BenchmarkFigure4Encoding(b *testing.B) {
 // the running example to QX4 with the SAT engine, asserting the paper's
 // minimal cost F = 4 (Example 7 / Fig. 5).
 func BenchmarkFigure5Example(b *testing.B) {
+	mp := newTestMapper(b)
 	c := circuit.Figure1a()
 	a := QX4()
 	for i := 0; i < b.N; i++ {
-		res, err := Map(c, a, Options{})
+		res, err := mp.MapWith(context.Background(), c, a, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -414,11 +415,12 @@ func BenchmarkAblationParallelSubsets(b *testing.B) {
 // a heuristic-mapped circuit (which carries more removable junk than the
 // tight exact mappings).
 func BenchmarkAblationPeephole(b *testing.B) {
+	mp := newTestMapper(b)
 	bm, err := revlib.SuiteByName("qe_qft_5")
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := Map(bm.Circuit, QX4(), Options{Method: MethodHeuristic, Seed: 3, SkipVerify: true})
+	res, err := mp.MapWith(context.Background(), bm.Circuit, QX4(), Options{Method: MethodHeuristic, Seed: 3, SkipVerify: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -432,7 +434,7 @@ func BenchmarkAblationPeephole(b *testing.B) {
 }
 
 // BenchmarkTable1Portfolio runs the minimal column through the portfolio
-// layer: heuristic-seeded SAT racing the DP oracle. Cold measures a fresh
+// layer on the DP engine, as Portfolio mode does. Cold measures a fresh
 // cache every iteration (the honest solving cost); Warm reuses one cache
 // across iterations, so after the first pass every instance is a hit —
 // the service-layer steady state.
@@ -449,7 +451,7 @@ func BenchmarkTable1Portfolio(b *testing.B) {
 			}
 			total = 0
 			for _, sk := range sks {
-				r, err := portfolio.Solve(context.Background(), sk, a, portfolio.Options{Race: true, Cache: cache})
+				r, err := portfolio.Solve(context.Background(), sk, a, portfolio.Options{Exact: exact.Options{Engine: exact.EngineDP}, Cache: cache})
 				if err != nil {
 					b.Fatal(err)
 				}

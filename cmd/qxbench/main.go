@@ -3,7 +3,7 @@
 // cores with -parallel/-workers.
 //
 // A second mode, -batch <method>, maps the whole suite through
-// qxmap.MapBatch instead: one concurrent mapping job per benchmark with a
+// Mapper.MapBatch instead: one concurrent mapping job per benchmark with a
 // bounded worker pool, optional per-job deadlines and fail-soft error
 // collection — the service-style execution path rather than the
 // paper-table harness. With -json the batch emits a stable perf snapshot
@@ -57,7 +57,7 @@ func main() {
 	archName := flag.String("arch", "ibmqx4", "target architecture: "+strings.Join(qxmap.Architectures(), ", "))
 	engine := flag.String("engine", "dp", "exact engine: dp or sat")
 	seedSAT := flag.Bool("seed-sat", false, "seed SAT descent with the DP cost")
-	portfolio := flag.Bool("portfolio", false, "race both engines per instance with heuristic seeding and a result cache (ignores -engine and -seed-sat)")
+	portfolio := flag.Bool("portfolio", false, "portfolio mode: solve every exact column on the DP engine with a result cache shared by the run (ignores -engine and -seed-sat)")
 	ladder := flag.Bool("ladder", false, "degradation ladder (-batch mode): deadline-starved jobs yield valid anytime/heuristic plans instead of errors")
 	runs := flag.Int("runs", 5, "heuristic runs per benchmark (paper: 5)")
 	names := flag.String("names", "", "comma-separated benchmark subset (default: all 25)")
@@ -65,7 +65,7 @@ func main() {
 	parallel := flag.Bool("parallel", false, "evaluate benchmark rows concurrently (one worker per core)")
 	workers := flag.Int("workers", 0, "bound the worker pool (implies -parallel; 0 = one per core)")
 	timeout := flag.Duration("timeout", 0, "wall-clock deadline for the whole run (0 = none), e.g. 30s or 5m")
-	batchMethod := flag.String("batch", "", "map the suite through qxmap.MapBatch with this method ("+strings.Join(qxmap.Methods(), ", ")+") instead of running Table 1")
+	batchMethod := flag.String("batch", "", "map the suite through Mapper.MapBatch with this method ("+strings.Join(qxmap.Methods(), ", ")+") instead of running Table 1")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline in -batch mode (0 = none)")
 	satBinary := flag.Bool("sat-binary", false, "binary bound search instead of linear descent (-batch mode, SAT engine)")
 	satThreads := flag.Int("sat-threads", 1, "clause-sharing SAT portfolio width (capped at GOMAXPROCS); >1 trades run-to-run witness determinism for parallel speed")

@@ -55,7 +55,7 @@ func main() {
 	outPath := flag.String("o", "", "output QASM path (default stdout)")
 	optimize := flag.Bool("optimize", false, "run post-mapping peephole optimization")
 	initial := flag.String("initial", "", "pin the initial layout, e.g. 2,0,1 (logical j on physical value[j])")
-	portfolio := flag.Bool("portfolio", false, "race the SAT and DP engines with heuristic bound seeding and a result cache (ignores -engine)")
+	portfolio := flag.Bool("portfolio", false, "portfolio mode: solve exact methods on the DP engine and memoize results (ignores -engine)")
 	ladder := flag.Bool("ladder", false, "degrade a -timeout-starved exact solve to a valid anytime/heuristic plan instead of failing (reported in stats/JSON degradation)")
 	costModel := flag.String("cost-model", "", "cost model: paper (default 7/4) or swap=<n>,h=<n> for uniform rescaling")
 	calibration := flag.String("calibration", "", "calibration JSON file with per-edge weights or error rates (overrides -cost-model)")

@@ -42,6 +42,11 @@
 // records are CRC-checked and schema-versioned, and anything unreadable is
 // re-solved.
 //
+// -portfolio makes Portfolio mode the default (a request's "portfolio"
+// field overrides it): exact requests solve on the DP engine, whatever
+// engine they name, and are memoized in the mapper's in-memory cache
+// even without -store. Responses report "dp" as the engine.
+//
 // -cost-model/-calibration set the server's default weighted cost model:
 // every request is solved and priced under it, and the effective
 // non-default model is echoed in each result's cost_model field.
@@ -60,7 +65,9 @@
 // valid, verified plan instead of timing out: the SAT descent's best
 // incumbent when one exists (degradation "anytime", with bound_gap
 // bracketing the optimum), a heuristic plan otherwise (degradation
-// "heuristic"). Only when even that fails does the request return 504 —
+// "heuristic"; a Portfolio-mode solve, which runs the DP engine and keeps
+// no incumbent, always lands there). Only when even that fails does the
+// request return 504 —
 // a structured body with degradation "none" and a retry_after_hint
 // mirroring the Retry-After header, like the limiter's 429s. Every
 // response carries an X-Request-ID; a handler panic is contained to a 500
@@ -96,7 +103,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "mapper concurrency bound (0 = one per core)")
 	cacheSize := flag.Int("cache", 0, "portfolio cache capacity in entries (0 = library default)")
-	portfolio := flag.Bool("portfolio", false, "enable portfolio solving by default (requests may override)")
+	portfolio := flag.Bool("portfolio", false, "portfolio mode by default: exact requests solve on the DP engine and are memoized in the mapper's cache (a request's portfolio field overrides it)")
 	ladder := flag.Bool("ladder", true, "degrade deadline-starved exact solves to valid anytime/heuristic plans (degradation field) instead of failing with 504")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request mapping deadline (0 = none); expiry returns 504")
 	maxBody := flag.Int64("max-body", 8<<20, "maximum request body size in bytes")

@@ -1,6 +1,7 @@
 package qxmap
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -144,7 +145,8 @@ func TestResultJSONWithoutQASM(t *testing.T) {
 // internally consistent (cost breakdown, solver echo, layouts sized to the
 // architecture).
 func TestResultJSONFromRealMap(t *testing.T) {
-	res, err := Map(Figure1a(), QX4(), Options{Engine: EngineDP})
+	mp := newTestMapper(t)
+	res, err := mp.MapWith(context.Background(), Figure1a(), QX4(), Options{Engine: EngineDP})
 	if err != nil {
 		t.Fatal(err)
 	}

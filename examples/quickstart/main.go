@@ -15,8 +15,7 @@ import (
 
 func main() {
 	// A Mapper instance owns its configuration and its portfolio cache;
-	// construct one per tenant/configuration instead of using the
-	// deprecated package-level qxmap.Map.
+	// construct one per tenant/configuration.
 	m, err := qxmap.NewMapper()
 	if err != nil {
 		log.Fatal(err)

@@ -82,10 +82,9 @@ type Config struct {
 	// Workers bounds the row worker pool (default: one worker per
 	// available core). A positive value implies Parallel.
 	Workers int
-	// Portfolio routes every exact column through internal/portfolio:
-	// heuristic-seeded SAT racing the DP oracle, with results memoized in
-	// a cache shared across the whole run. The Engine and SeedSATWithDP
-	// options are then ignored.
+	// Portfolio solves every exact column in solver Portfolio mode: the
+	// DP engine, with results memoized in a cache shared across the whole
+	// run. The Engine and SeedSATWithDP options are then ignored.
 	Portfolio bool
 	// NoLowerBound disables the SAT engine's admissible lower-bound
 	// seeding (the -lower-bound=off escape hatch of cmd/qxbench).
@@ -198,8 +197,6 @@ func RunRow(ctx context.Context, b revlib.Benchmark, cfg Config) (Row, error) {
 		}, nil
 	}
 
-	// The heuristic column doubles as the portfolio's upper bound, so it is
-	// computed first — once per row rather than once per exact column.
 	if _, row.IBM, err = solve(solver.NameHeuristic,
 		solver.Config{HeuristicRuns: cfg.HeuristicRuns, Seed: 1}); err != nil {
 		return row, err
@@ -212,10 +209,6 @@ func RunRow(ctx context.Context, b revlib.Benchmark, cfg Config) (Row, error) {
 		if cfg.Portfolio {
 			scfg.Portfolio = true
 			scfg.Cache = cfg.cache
-			scfg.UpperBound = row.IBM.Added
-			if scfg.UpperBound == 0 {
-				scfg.UpperBound = -1 // bounded already: F = 0, skip re-bounding
-			}
 			return scfg, nil
 		}
 		if cfg.Engine == exact.EngineSAT && cfg.SeedSATWithDP {

@@ -258,3 +258,46 @@ func TestWeightedLowerBoundUsesCheapestWeights(t *testing.T) {
 		t.Errorf("MinSwapWeight over penalized edges = %d, want 10", got)
 	}
 }
+
+// TestWeightedOpsAllocations rebuilds the op stream — the work of every
+// cache hit — of a 3-qubit solution on QX5 with edge {1,2} reweighted to
+// 20, and checks that it searches from the frame mapping instead of
+// building the 3360-mapping weighted table, which allocated hundreds of
+// thousands of times and took seconds per call. The solution is written
+// out rather than solved: a DP solve builds that same table. Between its
+// two frames logical qubit 0 moves from physical qubit 1 to 2, where the
+// direct SWAP (20) undercuts the detour through qubits 0 and 15 (3·7).
+func TestWeightedOpsAllocations(t *testing.T) {
+	cm := arch.PaperCostModel()
+	if err := cm.SetSwapWeight(1, 2, 20); err != nil {
+		t.Fatal(err)
+	}
+	a := arch.QX5().MustWithCostModel(cm)
+	sk := &circuit.Skeleton{NumQubits: 3, Gates: []circuit.CNOTGate{
+		{Control: 1, Target: 2, Index: 0}, // physical 3→4 in frame 0
+		{Control: 0, Target: 1, Index: 1}, // physical 2→3 in frame 1
+	}}
+	r := &Result{
+		Cost:     20,
+		WorkArch: a,
+		Solution: &encoder.Solution{
+			Cost:          20,
+			FrameMappings: []perm.Mapping{{1, 3, 4}, {2, 3, 4}},
+			GateFrame:     []int{0, 1},
+			PermSwaps:     []int{1},
+			Switched:      []bool{false, false},
+		},
+	}
+	if got := applyOpsWeighted(t, sk, a, r); got != 20 {
+		t.Fatalf("op stream costs %d, want the direct SWAP's 20", got)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := r.Ops(sk); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2000 {
+		t.Errorf("Ops allocated %.0f times per call, want at most 2000", allocs)
+	}
+	t.Logf("%.0f allocations per Ops call", allocs)
+}

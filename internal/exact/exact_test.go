@@ -10,7 +10,9 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
+	"repro/internal/cnf"
 	"repro/internal/encoder"
+	"repro/internal/sat"
 )
 
 var bg = context.Background()
@@ -851,4 +853,45 @@ func TestSubsetBudgetHonestMinimality(t *testing.T) {
 		}
 	}
 	_ = degraded // informational: some budget truncated a proof on this corpus
+}
+
+// TestDPTakesEveryEncodableInstance is the premise of Portfolio mode, which
+// runs the DP engine alone: every instance the SAT encoder accepts, plain
+// (encoder.Encode) or §4.1 (encoder.EncodeSubsets, one DP solve per subset
+// instance), the DP engine accepts too. It covers line devices of 2 to 8
+// qubits and every circuit width from 2 up to the device. Should the
+// encoder's 6-qubit cap grow past what fits DP's state cap, this fails
+// instead of Portfolio mode refusing instances the SAT engine takes.
+func TestDPTakesEveryEncodableInstance(t *testing.T) {
+	encodes := func(encode func(*cnf.Builder) error) bool {
+		return encode(cnf.NewBuilder(sat.New(sat.Options{}))) == nil
+	}
+	for m := 2; m <= 8; m++ {
+		a := arch.Linear(m)
+		for n := 2; n <= m; n++ {
+			sk := &circuit.Skeleton{NumQubits: n}
+			for q := 0; q+1 < n; q++ {
+				sk.Gates = append(sk.Gates, circuit.CNOTGate{Control: q + 1, Target: q, Index: q})
+			}
+			p := encoder.Problem{Skeleton: sk, Arch: a, PermBefore: PermBefore(sk, StrategyAll)}
+			if encodes(func(b *cnf.Builder) error { _, err := encoder.Encode(bg, p, b); return err }) {
+				if _, err := SolveDP(bg, p); err != nil {
+					t.Errorf("m=%d n=%d: encoder.Encode takes the instance, SolveDP refuses it: %v", m, n, err)
+				}
+			}
+			sp := encoder.SubsetProblem{Skeleton: sk, PermBefore: p.PermBefore}
+			for _, sub := range a.ConnectedSubsets(n) {
+				r, _ := a.Restrict(sub)
+				sp.Archs = append(sp.Archs, r)
+			}
+			if encodes(func(b *cnf.Builder) error { _, err := encoder.EncodeSubsets(bg, sp, b); return err }) {
+				for i, sub := range sp.Archs {
+					sub := encoder.Problem{Skeleton: sk, Arch: sub, PermBefore: p.PermBefore}
+					if _, err := SolveDP(bg, sub); err != nil {
+						t.Errorf("m=%d n=%d subset %d: encoder.EncodeSubsets takes the family, SolveDP refuses the subset: %v", m, n, i, err)
+					}
+				}
+			}
+		}
+	}
 }

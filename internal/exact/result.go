@@ -151,13 +151,13 @@ func (r *Result) FinalMapping() perm.Mapping {
 
 // Ops materializes the mapped skeleton as a stream of SWAP and CNOT
 // operations on the original architecture's physical qubits. The SWAP
-// sequence realizing each inter-frame permutation is found by one
-// breadth-first search from the next frame's mapping (perm.SwapSearch),
-// which returns the all-pairs swap table's path without building the
-// table; under a non-uniform cost model the weighted table is built
-// instead, so the rebuilt paths follow the same cheapest edges the solver
-// charged for. The SWAP count equals the solution's SwapCount (preserving
-// the optimal cost).
+// sequence realizing each inter-frame permutation is found by one search
+// from the next frame's mapping, which returns the all-pairs swap table's
+// path without building the table: breadth-first (perm.SwapSearch) under
+// a uniform cost model, Dijkstra by (weight, swaps)
+// (perm.WeightedSwapSearch) otherwise, so the rebuilt paths follow the
+// same cheapest edges the solver charged for. The SWAP count equals the
+// solution's SwapCount (preserving the optimal cost).
 func (r *Result) Ops(sk *circuit.Skeleton) ([]circuit.MappedOp, error) {
 	sol := r.Solution
 	m := r.WorkArch.NumQubits()
@@ -166,7 +166,7 @@ func (r *Result) Ops(sk *circuit.Skeleton) ([]circuit.MappedOp, error) {
 	if cm := r.WorkArch.Cost(); cm.UniformSwap() {
 		swapPath = perm.NewSwapSearch(m, edges).SwapPath
 	} else {
-		swapPath = perm.NewWeightedSwapTable(perm.NewSpace(m, sk.NumQubits), edges, cm.EdgeSwapWeight).SwapPath
+		swapPath = perm.NewWeightedSwapSearch(m, edges, cm.EdgeSwapWeight).SwapPath
 	}
 
 	var ops []circuit.MappedOp

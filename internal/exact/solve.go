@@ -46,8 +46,8 @@ func (e Engine) String() string {
 
 // ParseEngine converts an engine name back into an Engine. It round-trips
 // with Engine.String, which is the single definition of the names — every
-// layer (portfolio winners, result provenance, CLI flags) resolves through
-// these two functions instead of scattered string literals.
+// layer (result provenance, CLI flags) resolves through these two
+// functions instead of scattered string literals.
 func ParseEngine(name string) (Engine, error) {
 	for _, e := range []Engine{EngineSAT, EngineDP} {
 		if e.String() == name {
@@ -83,11 +83,6 @@ type Options struct {
 	// identical to the sequential run; when several subsets tie, the
 	// witness mapping may differ.
 	Parallel bool
-}
-
-// DefaultOptions returns the minimality-guaranteeing configuration of §3.
-func DefaultOptions() Options {
-	return Options{Engine: EngineSAT, Strategy: StrategyAll}
 }
 
 // Solve maps the skeleton to the architecture under the given options and

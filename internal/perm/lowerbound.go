@@ -103,29 +103,6 @@ func InteractionLowerBound(dist [][]int, n int, pairs []Edge) int {
 	return best
 }
 
-// InteractionLowerBoundWeighted is the admissible weighted-cost analogue
-// of InteractionLowerBound: with per-edge SWAP weights all ≥ minSwapWeight,
-// every SWAP of any run costs at least minSwapWeight, so the count bound
-// scaled by it is a valid lower bound on the weighted SWAP cost. (Using the
-// minimum keeps the bound admissible even when the cheap edges are nowhere
-// near the interacting qubits.)
-func InteractionLowerBoundWeighted(dist [][]int, n int, pairs []Edge, minSwapWeight int) int {
-	if minSwapWeight < 1 {
-		minSwapWeight = 1
-	}
-	return InteractionLowerBound(dist, n, pairs) * minSwapWeight
-}
-
-// PlacementLowerBoundWeighted scales PlacementLowerBound by the minimum
-// per-edge SWAP weight; −1 propagates (disconnected pair).
-func PlacementLowerBoundWeighted(dist [][]int, place Mapping, pairs []Edge, minSwapWeight int) int {
-	lb := PlacementLowerBound(dist, place, pairs)
-	if lb <= 0 || minSwapWeight < 1 {
-		return lb
-	}
-	return lb * minSwapWeight
-}
-
 // maxWeightMatching returns the maximum total weight of a set of pairwise
 // token-disjoint pairs, by branching over the pair list (≤ n(n−1)/2 ≤ 15
 // pairs for the m ≤ 6 instances this package sees).

@@ -126,3 +126,121 @@ func (s *SwapSearch) SwapPath(from, to Mapping) ([]Edge, bool) {
 	}
 	return path, true
 }
+
+// WeightedSwapSearch is SwapSearch under per-edge SWAP weights: a Dijkstra
+// search ordered by total weight, then by swap count, the order of
+// WeightedSwapTable. Like SwapSearch it needs no Space and reuses its
+// buffers from one search to the next; it is not safe for concurrent use.
+type WeightedSwapSearch struct {
+	edges  []Edge
+	weight []int
+	index  map[string]int32 // Mapping.Key → node
+	// nodes holds the discovered mappings back to back, n entries each;
+	// dist and swaps hold each node's best (weight, swaps) key so far.
+	nodes []int
+	dist  []int32
+	swaps []int16
+	heap  wstHeap
+	next  Mapping
+	buf   []byte
+}
+
+// NewWeightedSwapSearch returns a search over the coupling edges of an
+// m-qubit device, with weight(e) the SWAP weight of edge e (at least 1).
+func NewWeightedSwapSearch(m int, edges []Edge, weight func(Edge) int) *WeightedSwapSearch {
+	s := &WeightedSwapSearch{edges: normalizeEdges(edges, m), index: make(map[string]int32)}
+	s.weight = edgeWeights(s.edges, weight)
+	return s
+}
+
+// search explores outward from root in (weight, swaps) order and returns
+// the node of stop once it is settled, or −1 if stop is unreachable. By
+// then every node whose key is below stop's is settled as well, which is
+// all a walk from stop to root reads: any other node differs from the key
+// the walk looks for, whatever it holds so far.
+func (s *WeightedSwapSearch) search(root, stop Mapping) int32 {
+	clear(s.index)
+	n := len(root)
+	s.index[root.Key()] = 0
+	s.nodes = append(s.nodes[:0], root...)
+	s.dist = append(s.dist[:0], 0)
+	s.swaps = append(s.swaps[:0], 0)
+	s.heap = append(s.heap[:0], wstItem{})
+	if cap(s.next) < n {
+		s.next = make(Mapping, n)
+	}
+	next := s.next[:n]
+	target := int32(-1)
+	for len(s.heap) > 0 {
+		it := s.heap.pop()
+		a := it.node
+		if it.w != s.dist[a] || it.s != s.swaps[a] {
+			continue // stale entry
+		}
+		if a == target {
+			return a
+		}
+		cur := Mapping(s.nodes[int(a)*n : int(a+1)*n])
+		for ei, e := range s.edges {
+			swapInto(next, cur, e)
+			nw, ns := it.w+int32(s.weight[ei]), it.s+1
+			s.buf = next.AppendKey(s.buf[:0])
+			b, seen := s.index[string(s.buf)]
+			switch {
+			case !seen:
+				b = int32(len(s.dist))
+				s.index[string(s.buf)] = b
+				s.nodes = append(s.nodes, next...)
+				s.dist = append(s.dist, nw)
+				s.swaps = append(s.swaps, ns)
+				if target < 0 && next.Equal(stop) {
+					target = b
+				}
+			case (wstItem{w: nw, s: ns}).less(wstItem{w: s.dist[b], s: s.swaps[b]}):
+				s.dist[b], s.swaps[b] = nw, ns
+			default:
+				continue
+			}
+			s.heap.push(wstItem{nw, ns, b})
+		}
+	}
+	return -1
+}
+
+// SwapPath returns the (weight, swaps)-minimal sequence of edges whose
+// successive application transforms from into to, or nil, false if to is
+// unreachable. It searches from to until from is settled, then walks
+// back: from each mapping it takes the first edge, in normalized
+// first-seen order, whose swap lands on a mapping that is closer to to by
+// exactly that edge's weight and one swap. Of several minimal paths it
+// therefore picks the same one as that rule applied to an all-pairs
+// WeightedSwapTable.
+func (s *WeightedSwapSearch) SwapPath(from, to Mapping) ([]Edge, bool) {
+	if from.Equal(to) {
+		return nil, true
+	}
+	ci := s.search(to, from)
+	if ci < 0 {
+		return nil, false
+	}
+	path := make([]Edge, 0, s.swaps[ci])
+	cur, next := from.Copy(), make(Mapping, len(from))
+	for s.swaps[ci] > 0 {
+		stepped := false
+		for ei, e := range s.edges {
+			swapInto(next, cur, e)
+			s.buf = next.AppendKey(s.buf[:0])
+			if ni, ok := s.index[string(s.buf)]; ok &&
+				s.dist[ni] == s.dist[ci]-int32(s.weight[ei]) && s.swaps[ni] == s.swaps[ci]-1 {
+				path = append(path, e)
+				cur, next, ci = next, cur, ni
+				stepped = true
+				break
+			}
+		}
+		if !stepped {
+			return nil, false
+		}
+	}
+	return path, true
+}

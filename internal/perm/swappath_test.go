@@ -54,6 +54,64 @@ func TestSwapPathMatchesTable(t *testing.T) {
 	t.Logf("%d ordered pairs", pairs)
 }
 
+// weightedTableSwapPath is the reference minimal path over the all-pairs
+// weighted table: from each mapping it takes the first edge, in t.Edges
+// order, whose swap steps onto a (weight, swaps)-minimal path to to.
+// WeightedSwapSearch.SwapPath must return exactly this path for every pair.
+func weightedTableSwapPath(t *WeightedSwapTable, from, to Mapping) ([]Edge, bool) {
+	a, b := t.Space.Index(from), t.Space.Index(to)
+	if t.dist[a][b] < 0 {
+		return nil, false
+	}
+	var path []Edge
+step:
+	for a != b {
+		for ei, e := range t.Edges {
+			nb := t.Space.Index(t.Space.Mapping(a).ApplySwap(e.A, e.B))
+			if t.dist[nb][b] == t.dist[a][b]-int32(t.weight[ei]) && t.swaps[nb][b] == t.swaps[a][b]-1 {
+				path, a = append(path, e), nb
+				continue step
+			}
+		}
+		return nil, false
+	}
+	return path, true
+}
+
+// TestWeightedSwapPathMatchesTable checks that WeightedSwapSearch.SwapPath
+// returns exactly the weighted table's path, weightedTableSwapPath (or the
+// same unreachability), for every ordered pair of mappings, n ≤ m, on
+// every graph, under weights 1–3 that tie on many edges and paths; the
+// six-qubit graphs stop at n = 3. This is the invariant Result.Ops relies
+// on under a non-uniform cost model.
+func TestWeightedSwapPathMatchesTable(t *testing.T) {
+	weight := func(e Edge) int { return 1 + (e.A+2*e.B)%3 }
+	pairs := 0
+	for _, g := range swapGraphs {
+		maxN := g.m
+		if g.m > 5 {
+			maxN = 3
+		}
+		for n := 1; n <= maxN; n++ {
+			s := NewSpace(g.m, n)
+			tbl := NewWeightedSwapTable(s, g.edges, weight)
+			search := NewWeightedSwapSearch(g.m, g.edges, weight)
+			for _, from := range s.Mappings {
+				for _, to := range s.Mappings {
+					pairs++
+					want, wantOK := weightedTableSwapPath(tbl, from, to)
+					got, gotOK := search.SwapPath(from, to)
+					if gotOK != wantOK || !slices.Equal(got, want) {
+						t.Fatalf("%s n=%d %v→%v: SwapPath = %v, %v; table = %v, %v",
+							g.name, n, from, to, got, gotOK, want, wantOK)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d ordered pairs", pairs)
+}
+
 // TestSwapSearchDistMatchesTable checks the unstopped search: the distance of
 // every mapping from a root is the table's, −1 where unreachable.
 func TestSwapSearchDistMatchesTable(t *testing.T) {

@@ -1,9 +1,6 @@
 package perm
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // WeightedSwapTable is the SwapTable generalized to per-edge SWAP weights:
 // dist minimizes total weight instead of swap count, realizing the
@@ -26,46 +23,82 @@ type WeightedSwapTable struct {
 	// swaps[a][b] = number of SWAPs on the (weight, swaps)-lexicographically
 	// minimal path, or -1.
 	swaps [][]int16
-	// next[a][b] = edge index of the first swap on that path, or -1.
-	next [][]int16
 }
 
-// wstItem is a priority-queue entry for the Dijkstra sweep.
+// wstItem is a priority-queue entry of a Dijkstra search: a node and the
+// (weight, swaps) key it was reached with.
 type wstItem struct {
 	w    int32
 	s    int16
 	node int32
 }
 
+// less orders entries by weight, then by swap count.
+func (it wstItem) less(o wstItem) bool {
+	return it.w < o.w || it.w == o.w && it.s < o.s
+}
+
+// wstHeap is a binary min-heap of entries, kept without container/heap so
+// that pushing an entry does not box it.
 type wstHeap []wstItem
 
-func (h wstHeap) Len() int { return len(h) }
-func (h wstHeap) Less(i, j int) bool {
-	if h[i].w != h[j].w {
-		return h[i].w < h[j].w
+func (h *wstHeap) push(it wstItem) {
+	*h = append(*h, it)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].less(q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
 	}
-	return h[i].s < h[j].s
 }
-func (h wstHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *wstHeap) Push(x any)   { *h = append(*h, x.(wstItem)) }
-func (h *wstHeap) Pop() (x any) { old := *h; n := len(old); x = old[n-1]; *h = old[:n-1]; return }
+
+func (h *wstHeap) pop() wstItem {
+	q := *h
+	top, last := q[0], len(q)-1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && q[c+1].less(q[c]) {
+			c++
+		}
+		if !q[c].less(q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
+}
+
+// edgeWeights returns weight(e) for each edge, panicking on a weight
+// below 1: every swap must add weight so that paths strictly descend.
+func edgeWeights(edges []Edge, weight func(Edge) int) []int {
+	ws := make([]int, len(edges))
+	for i, e := range edges {
+		if ws[i] = weight(e); ws[i] < 1 {
+			panic(fmt.Sprintf("perm: swap weight %d on %+v must be >= 1", ws[i], e))
+		}
+	}
+	return ws
+}
 
 // NewWeightedSwapTable computes the all-pairs weighted swap-distance table
 // by a Dijkstra sweep from every mapping, with weight(e) the SWAP weight
 // of coupling edge e (must be ≥ 1 so paths strictly descend).
 func NewWeightedSwapTable(space *Space, edges []Edge, weight func(Edge) int) *WeightedSwapTable {
 	t := &WeightedSwapTable{Space: space, Edges: normalizeEdges(edges, space.M)}
-	for _, e := range t.Edges {
-		w := weight(e)
-		if w < 1 {
-			panic(fmt.Sprintf("perm: swap weight %d on %+v must be >= 1", w, e))
-		}
-		t.weight = append(t.weight, w)
-	}
+	t.weight = edgeWeights(t.Edges, weight)
 	size := space.Size()
 	t.dist = make([][]int32, size)
 	t.swaps = make([][]int16, size)
-	t.next = make([][]int16, size)
 
 	neighbor := make([][]int32, size)
 	for a := 0; a < size; a++ {
@@ -76,6 +109,7 @@ func NewWeightedSwapTable(space *Space, edges []Edge, weight func(Edge) int) *We
 		}
 	}
 
+	var h wstHeap
 	for src := 0; src < size; src++ {
 		d := make([]int32, size)
 		s := make([]int16, size)
@@ -84,9 +118,9 @@ func NewWeightedSwapTable(space *Space, edges []Edge, weight func(Edge) int) *We
 			s[i] = -1
 		}
 		d[src], s[src] = 0, 0
-		h := &wstHeap{{0, 0, int32(src)}}
-		for h.Len() > 0 {
-			it := heap.Pop(h).(wstItem)
+		h = append(h[:0], wstItem{0, 0, int32(src)})
+		for len(h) > 0 {
+			it := h.pop()
 			a := it.node
 			if it.w != d[a] || it.s != s[a] {
 				continue // stale entry
@@ -97,34 +131,12 @@ func NewWeightedSwapTable(space *Space, edges []Edge, weight func(Edge) int) *We
 				ns := s[a] + 1
 				if d[b] == -1 || nw < d[b] || (nw == d[b] && ns < s[b]) {
 					d[b], s[b] = nw, ns
-					heap.Push(h, wstItem{nw, ns, b})
+					h.push(wstItem{nw, ns, b})
 				}
 			}
 		}
 		t.dist[src] = d
 		t.swaps[src] = s
-	}
-	// First-move table from the completed matrices: next[a][b] = the lowest
-	// edge index whose swap steps onto the (weight, swaps)-minimal path.
-	for a := 0; a < size; a++ {
-		nx := make([]int16, size)
-		for i := range nx {
-			nx[i] = -1
-		}
-		for b := 0; b < size; b++ {
-			if a == b || t.dist[a][b] <= 0 {
-				continue
-			}
-			for ei := range t.Edges {
-				nb := neighbor[a][ei]
-				if t.dist[nb][b] == t.dist[a][b]-int32(t.weight[ei]) &&
-					t.swaps[nb][b] == t.swaps[a][b]-1 {
-					nx[b] = int16(ei)
-					break
-				}
-			}
-		}
-		t.next[a] = nx
 	}
 	return t
 }
@@ -145,33 +157,6 @@ func (t *WeightedSwapTable) MinWeightIdx(a, b int) int { return int(t.dist[a][b]
 // SwapsAlongIdx returns the SWAP count of the chosen minimum-weight path
 // between dense indices, or −1 if unreachable.
 func (t *WeightedSwapTable) SwapsAlongIdx(a, b int) int { return int(t.swaps[a][b]) }
-
-// SwapPath returns the edge sequence of the (weight, swaps)-minimal path
-// from from to to; its length equals SwapsAlongIdx of the pair. It returns
-// nil, false if to is unreachable.
-func (t *WeightedSwapTable) SwapPath(from, to Mapping) ([]Edge, bool) {
-	a, b := t.Space.Index(from), t.Space.Index(to)
-	if a < 0 || b < 0 {
-		panic("perm: mapping not in space")
-	}
-	if t.dist[a][b] < 0 {
-		return nil, false
-	}
-	var path []Edge
-	cur := from.Copy()
-	ci := a
-	for ci != b {
-		ei := t.next[ci][b]
-		if ei < 0 {
-			return nil, false
-		}
-		e := t.Edges[ei]
-		path = append(path, e)
-		cur = cur.ApplySwap(e.A, e.B)
-		ci = t.Space.Index(cur)
-	}
-	return path, true
-}
 
 // PermWeight computes swaps_w(π) for a full permutation π: the minimal
 // total SWAP weight realizing π. Requires a full space (n == m); −1 if π

@@ -57,11 +57,11 @@ func TestWeightedTableDetour(t *testing.T) {
 		t.Errorf("PermSwapsAlong = %d, want 3", got)
 	}
 
-	// SwapPath materializes exactly that path: length matches
+	// The weighted search materializes exactly that path: length matches
 	// SwapsAlongIdx, applying it lands on the target, never touching the
 	// expensive edge, and total weight equals MinWeight.
 	from, to := IdentityMapping(3), Mapping(p)
-	path, ok := wt.SwapPath(from, to)
+	path, ok := NewWeightedSwapSearch(3, tri, weightOf).SwapPath(from, to)
 	if !ok {
 		t.Fatal("SwapPath failed on a connected space")
 	}
@@ -84,27 +84,37 @@ func TestWeightedTableDetour(t *testing.T) {
 	}
 }
 
-// TestWeightedTablePartialSpaceUnreachable: in a partial mapping space on a
+// TestWeightedTableUnreachable: in a partial mapping space on a
 // disconnected graph, mappings across components are unreachable (−1), and
-// SwapPath reports false.
+// the weighted search's SwapPath reports false.
 func TestWeightedTableUnreachable(t *testing.T) {
 	space := NewSpace(4, 1) // one logical qubit on 4 physical
-	wt := NewWeightedSwapTable(space, []Edge{{0, 1}, {2, 3}}, func(Edge) int { return 7 })
+	edges := []Edge{{0, 1}, {2, 3}}
+	weight := func(Edge) int { return 7 }
+	wt := NewWeightedSwapTable(space, edges, weight)
 	from := Mapping{0} // logical 0 on physical 0
 	to := Mapping{2}   // ... on physical 2, in the other component
 	if got := wt.MinWeight(from, to); got != -1 {
 		t.Errorf("MinWeight across components = %d, want -1", got)
 	}
-	if _, ok := wt.SwapPath(from, to); ok {
+	if _, ok := NewWeightedSwapSearch(4, edges, weight).SwapPath(from, to); ok {
 		t.Error("SwapPath across components succeeded")
 	}
 }
 
 func TestWeightedTableRejectsBadWeights(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("weight 0 did not panic")
-		}
-	}()
-	NewWeightedSwapTable(NewSpace(2, 2), []Edge{{0, 1}}, func(Edge) int { return 0 })
+	zero := func(Edge) int { return 0 }
+	for name, build := range map[string]func(){
+		"table":  func() { NewWeightedSwapTable(NewSpace(2, 2), []Edge{{0, 1}}, zero) },
+		"search": func() { NewWeightedSwapSearch(2, []Edge{{0, 1}}, zero) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: weight 0 did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
 }

@@ -134,32 +134,37 @@ func ladderCtx(t *testing.T) context.Context {
 	return ctx
 }
 
+// TestLadderHeuristicFallback starves either engine of its deadline. The
+// DP engine, which Portfolio mode runs, keeps no anytime incumbent, so
+// under the ladder it too lands on the heuristic rung.
 func TestLadderHeuristicFallback(t *testing.T) {
 	sk, a := ladderSkeleton()
-	opts := Options{Race: true, UpperBound: -1} // no bounding phase: keep the failure path pure
+	for _, eng := range []exact.Engine{exact.EngineSAT, exact.EngineDP} {
+		opts := Options{Exact: exact.Options{Engine: eng}}
 
-	// Without the ladder the deadline surfaces as an exhaustion error.
-	_, err := Solve(ladderCtx(t), sk, a, opts)
-	if err == nil {
-		t.Fatal("expected both engines to fail without the ladder")
-	}
-	if !Exhausted(err) {
-		t.Fatalf("engine failure %v is not recognized as exhaustion", err)
-	}
+		// Without the ladder the deadline surfaces as an exhaustion error.
+		_, err := Solve(ladderCtx(t), sk, a, opts)
+		if err == nil {
+			t.Fatalf("%s: expected the engine to fail without the ladder", eng)
+		}
+		if !Exhausted(err) {
+			t.Fatalf("%s: engine failure %v is not recognized as exhaustion", eng, err)
+		}
 
-	opts.Ladder = true
-	res, err := Solve(ladderCtx(t), sk, a, opts)
-	if err != nil {
-		t.Fatalf("ladder did not soften the exhaustion: %v", err)
-	}
-	if res.Degradation != DegradationHeuristic || res.Winner != "heuristic" {
-		t.Errorf("degradation=%q winner=%q, want %q/%q", res.Degradation, res.Winner, DegradationHeuristic, "heuristic")
-	}
-	if res.Heuristic == nil || res.Result != nil {
-		t.Fatalf("heuristic rung must set Heuristic and leave Result nil (got %v/%v)", res.Heuristic, res.Result)
-	}
-	if len(res.Heuristic.Ops) == 0 {
-		t.Error("heuristic fallback produced no ops for a non-empty circuit")
+		opts.Ladder = true
+		res, err := Solve(ladderCtx(t), sk, a, opts)
+		if err != nil {
+			t.Fatalf("%s: ladder did not soften the exhaustion: %v", eng, err)
+		}
+		if res.Degradation != DegradationHeuristic {
+			t.Errorf("%s: degradation=%q, want %q", eng, res.Degradation, DegradationHeuristic)
+		}
+		if res.Heuristic == nil || res.Result != nil {
+			t.Fatalf("%s: heuristic rung must set Heuristic and leave Result nil (got %v/%v)", eng, res.Heuristic, res.Result)
+		}
+		if len(res.Heuristic.Ops) == 0 {
+			t.Errorf("%s: heuristic fallback produced no ops for a non-empty circuit", eng)
+		}
 	}
 }
 
@@ -169,7 +174,7 @@ func TestLadderHeuristicFallback(t *testing.T) {
 func TestLadderNeverSoftensRealFailures(t *testing.T) {
 	disc := arch.MustNew("disc", 4, []arch.Pair{{Control: 0, Target: 1}, {Control: 2, Target: 3}})
 	sk := mkSkeleton(3, [2]int{0, 1}, [2]int{1, 2})
-	_, err := Solve(bg, sk, disc, Options{Race: true, Ladder: true, UpperBound: -1})
+	_, err := Solve(bg, sk, disc, Options{Ladder: true})
 	if !errors.Is(err, exact.ErrUnsatisfiable) {
 		t.Errorf("unsatisfiable instance under the ladder: err = %v, want ErrUnsatisfiable", err)
 	}
@@ -180,7 +185,7 @@ func TestLadderNeverSoftensRealFailures(t *testing.T) {
 // has to solve for real, not read back a degraded answer as the optimum.
 func TestLadderDegradedNotCached(t *testing.T) {
 	sk, a := ladderSkeleton()
-	opts := Options{Race: true, UpperBound: -1, Ladder: true, Cache: NewCache(0)}
+	opts := Options{Ladder: true, Cache: NewCache(0)}
 	disk := newMapStore()
 	opts.Store = disk
 

@@ -3,6 +3,7 @@ package portfolio
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -22,9 +23,10 @@ func mkSkeleton(n int, pairs ...[2]int) *circuit.Skeleton {
 	return sk
 }
 
-// TestTable1Parity is the acceptance check: on the paper's Table-1 suite,
-// the portfolio returns exactly the minimal cost of a lone exact engine for
-// every instance, regardless of which engine happens to win the race.
+// TestTable1Parity checks that the tiers are transparent on the paper's
+// Table-1 suite: a miss returns exactly what a lone exact.Solve run
+// returns (cost, frame mappings, engine and counters), writes it through,
+// and the memory hit that follows serves the same answer.
 func TestTable1Parity(t *testing.T) {
 	a := arch.QX4()
 	for _, b := range revlib.Suite() {
@@ -38,31 +40,33 @@ func TestTable1Parity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := exact.Solve(bg, sk, a, exact.Options{Engine: exact.EngineDP})
+			eo := exact.Options{Engine: exact.EngineDP}
+			want, err := exact.Solve(bg, sk, a, eo)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Solve(bg, sk, a, Options{Race: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Cost != want.Cost {
-				t.Errorf("portfolio cost = %d (winner %s), lone DP engine = %d", got.Cost, got.Winner, want.Cost)
-			}
-			if got.Winner != "sat" && got.Winner != "dp" {
-				t.Errorf("winner = %q, want sat or dp", got.Winner)
-			}
-			if got.UpperBound > 0 && got.UpperBound < got.Cost {
-				t.Errorf("heuristic upper bound %d below minimal cost %d", got.UpperBound, got.Cost)
+			opts := Options{Exact: eo, Cache: NewCache(0)}
+			for _, tier := range []string{"", TierMemory} {
+				got, err := Solve(bg, sk, a, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Tier != tier || got.CacheHit != (tier != "") {
+					t.Fatalf("served from tier %q (hit %v), want %q", got.Tier, got.CacheHit, tier)
+				}
+				if got.Cost != want.Cost || got.Engine != want.Engine || got.Counters != want.Counters ||
+					!reflect.DeepEqual(got.Solution.FrameMappings, want.Solution.FrameMappings) {
+					t.Errorf("tier %q: cost %d engine %s counters %+v, lone exact.Solve %d %s %+v (or frame mappings differ)",
+						tier, got.Cost, got.Engine, got.Counters, want.Cost, want.Engine, want.Counters)
+				}
 			}
 		})
 	}
 }
 
-// TestRaceOffRunsConfiguredEngine: without the race, Solve runs exactly
-// the configured engine with no bounding phase, reports it as the winner,
+// TestSolveRunsConfiguredEngine: Solve runs exactly the configured engine
 // and hands that engine's errors back unwrapped.
-func TestRaceOffRunsConfiguredEngine(t *testing.T) {
+func TestSolveRunsConfiguredEngine(t *testing.T) {
 	a := arch.QX4()
 	sk := mkSkeleton(3, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{0, 2})
 	for _, eng := range []exact.Engine{exact.EngineSAT, exact.EngineDP} {
@@ -75,8 +79,8 @@ func TestRaceOffRunsConfiguredEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Winner != eng.String() || got.Cost != want.Cost || got.UpperBound != 0 {
-			t.Errorf("%s: winner=%q cost=%d bound=%d, want %q/%d/0", eng, got.Winner, got.Cost, got.UpperBound, eng, want.Cost)
+		if got.Engine != eng.String() || got.Cost != want.Cost {
+			t.Errorf("%s: engine=%q cost=%d, want %q/%d", eng, got.Engine, got.Cost, eng, want.Cost)
 		}
 		if got.SATSolves != want.SATSolves || got.BoundProbes != want.BoundProbes {
 			t.Errorf("%s: counters %+v differ from a lone exact.Solve %+v", eng, got.Counters, want.Counters)
@@ -84,17 +88,19 @@ func TestRaceOffRunsConfiguredEngine(t *testing.T) {
 	}
 
 	disc := arch.MustNew("disc", 4, []arch.Pair{{Control: 0, Target: 1}, {Control: 2, Target: 3}})
-	_, want := exact.Solve(bg, sk, disc, exact.Options{})
-	_, got := Solve(bg, sk, disc, Options{})
-	if want == nil || got == nil || got.Error() != want.Error() || !errors.Is(got, exact.ErrUnsatisfiable) {
-		t.Errorf("race-off error %v, want exact.Solve's own %v", got, want)
+	for _, eng := range []exact.Engine{exact.EngineSAT, exact.EngineDP} {
+		eo := exact.Options{Engine: eng}
+		_, want := exact.Solve(bg, sk, disc, eo)
+		_, got := Solve(bg, sk, disc, Options{Exact: eo})
+		if want == nil || got == nil || got.Error() != want.Error() || !errors.Is(got, exact.ErrUnsatisfiable) {
+			t.Errorf("%s: error %v, want exact.Solve's own %v", eng, got, want)
+		}
 	}
 }
 
-// TestStrategyParity races the engines under every §4.2 restriction and the
-// §4.1 subset optimization; the portfolio must reproduce the lone engine's
-// restricted optimum (the heuristic bound may be unsound under odd/triangle
-// restrictions, exercising the bound-retry path).
+// TestStrategyParity runs both engines through Solve under every §4.2
+// restriction with the §4.1 subset optimization; each must reproduce the
+// lone DP engine's restricted optimum.
 func TestStrategyParity(t *testing.T) {
 	a := arch.QX4()
 	b, err := revlib.SuiteByName("ex-1_166")
@@ -119,12 +125,15 @@ func TestStrategyParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Solve(bg, sk, a, Options{Race: true, Exact: cfg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Cost != want.Cost {
-				t.Errorf("portfolio cost = %d, lone engine = %d", got.Cost, want.Cost)
+			for _, eng := range []exact.Engine{exact.EngineSAT, exact.EngineDP} {
+				cfg.Engine = eng
+				got, err := Solve(bg, sk, a, Options{Exact: cfg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Cost != want.Cost {
+					t.Errorf("%s: portfolio cost = %d, lone DP engine = %d", eng, got.Cost, want.Cost)
+				}
 			}
 		})
 	}
@@ -135,7 +144,7 @@ func TestCacheHitMiss(t *testing.T) {
 	sk := mkSkeleton(3, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0})
 	cache := NewCache(8)
 
-	first, err := Solve(bg, sk, a, Options{Race: true, Cache: cache})
+	first, err := Solve(bg, sk, a, Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +155,12 @@ func TestCacheHitMiss(t *testing.T) {
 		t.Errorf("after first solve: hits=%d misses=%d, want 0/1", hits, misses)
 	}
 
-	second, err := Solve(bg, sk, a, Options{Race: true, Cache: cache})
+	second, err := Solve(bg, sk, a, Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.CacheHit || second.Winner != "cache" {
-		t.Errorf("second solve: CacheHit=%v Winner=%q, want hit from cache", second.CacheHit, second.Winner)
+	if !second.CacheHit || second.Tier != TierMemory {
+		t.Errorf("second solve: CacheHit=%v Tier=%q, want a memory hit", second.CacheHit, second.Tier)
 	}
 	if second.Cost != first.Cost {
 		t.Errorf("cached cost %d != solved cost %d", second.Cost, first.Cost)
@@ -161,7 +170,7 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 
 	// A different strategy is a different instance.
-	third, err := Solve(bg, sk, a, Options{Race: true, Cache: cache, Exact: exact.Options{Strategy: exact.StrategyOdd}})
+	third, err := Solve(bg, sk, a, Options{Cache: cache, Exact: exact.Options{Strategy: exact.StrategyOdd}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +188,7 @@ func TestCacheSkipsBudgetedRuns(t *testing.T) {
 	a := arch.QX4()
 	sk := mkSkeleton(3, [2]int{0, 1}, [2]int{1, 2})
 	cache := NewCache(8)
-	opts := Options{Race: true, Cache: cache}
+	opts := Options{Cache: cache}
 	opts.Exact.SAT.MaxConflicts = 1 << 20
 	if _, err := Solve(bg, sk, a, opts); err != nil {
 		t.Fatal(err)
@@ -193,16 +202,16 @@ func TestCancelledContextFailsFast(t *testing.T) {
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
 	sk := mkSkeleton(3, [2]int{0, 1}, [2]int{1, 2})
-	_, err := Solve(ctx, sk, arch.QX4(), Options{Race: true})
+	_, err := Solve(ctx, sk, arch.QX4(), Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 // TestDeadlineStopsRunningSolve cancels mid-solve on an instance large
-// enough that both engines are still working, and requires the portfolio to
-// return well within the test's patience (the SAT solver notices at its
-// next context poll, the DP engine at the next frame transition).
+// enough that the SAT engine is still encoding or searching, and requires
+// Solve to return well within the test's patience (the encoder and the
+// solver notice at their next context poll).
 func TestDeadlineStopsRunningSolve(t *testing.T) {
 	a := arch.Ring(6)
 	sk := &circuit.Skeleton{NumQubits: 6}
@@ -216,7 +225,7 @@ func TestDeadlineStopsRunningSolve(t *testing.T) {
 	ctx, cancel := context.WithTimeout(bg, 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := Solve(ctx, sk, a, Options{Race: true})
+	_, err := Solve(ctx, sk, a, Options{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -250,71 +259,5 @@ func TestFingerprintDistinguishesInstances(t *testing.T) {
 	// Engine and parallelism do not affect the solution.
 	if got := Fingerprint(sk1, qx4, exact.Options{Engine: exact.EngineDP, Parallel: true}); got != base {
 		t.Error("engine/parallel options must not alter the fingerprint")
-	}
-}
-
-// TestBudgetedRaceStaysMinimal guards the race arbitration: with a conflict
-// budget the SAT engine may return a truncated best-effort model, which
-// must never outrank the DP oracle's guaranteed minimum — only a run that
-// PROVED its minimum may win the race.
-func TestBudgetedRaceStaysMinimal(t *testing.T) {
-	a := arch.QX4()
-	b, err := revlib.SuiteByName("4gt13_92")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk, err := circuit.ExtractSkeleton(b.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := exact.Solve(bg, sk, a, exact.Options{Engine: exact.EngineDP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, budget := range []int64{1, 1 << 10} {
-		opts := Options{Race: true}
-		opts.Exact.SAT.MaxConflicts = budget
-		got, err := Solve(bg, sk, a, opts)
-		if err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
-		}
-		if got.Cost != want.Cost {
-			t.Errorf("budget %d: cost = %d (winner %s), want minimal %d", budget, got.Cost, got.Winner, want.Cost)
-		}
-		if !got.Minimal {
-			t.Errorf("budget %d: winner %q result not proven minimal (truncated SAT must not win while DP succeeds)", budget, got.Winner)
-		}
-	}
-}
-
-// TestExternalUpperBound supplies a caller-provided bound and checks it is
-// used verbatim (no bounding phase) without affecting minimality.
-func TestExternalUpperBound(t *testing.T) {
-	a := arch.QX4()
-	sk := mkSkeleton(3, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{0, 2})
-	want, err := exact.Solve(bg, sk, a, exact.Options{Engine: exact.EngineDP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Solve(bg, sk, a, Options{Race: true, UpperBound: want.Cost + 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cost != want.Cost {
-		t.Errorf("cost = %d, want %d", got.Cost, want.Cost)
-	}
-	if got.UpperBound != want.Cost+21 {
-		t.Errorf("UpperBound = %d, want caller's %d", got.UpperBound, want.Cost+21)
-	}
-	// An undercutting (unsound) external bound must be survived via the
-	// unbounded retry, not reported as unsatisfiable.
-	if want.Cost > 1 {
-		got, err = Solve(bg, sk, a, Options{Race: true, UpperBound: want.Cost - 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cost != want.Cost {
-			t.Errorf("undercut bound: cost = %d, want %d", got.Cost, want.Cost)
-		}
 	}
 }

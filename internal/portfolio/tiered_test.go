@@ -196,7 +196,7 @@ func TestSolveUsesDiskTier(t *testing.T) {
 	sk := mkSkeleton(4, [2]int{0, 1}, [2]int{2, 3}, [2]int{0, 2}, [2]int{1, 3}, [2]int{0, 3}, [2]int{1, 2})
 	disk := newMapStore()
 
-	first, err := Solve(bg, sk, a, Options{Race: true, Cache: NewCache(0), Store: disk})
+	first, err := Solve(bg, sk, a, Options{Cache: NewCache(0), Store: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +207,12 @@ func TestSolveUsesDiskTier(t *testing.T) {
 		t.Fatal("solve did not write through to the store")
 	}
 
-	second, err := Solve(bg, sk, a, Options{Race: true, Cache: NewCache(0), Store: disk})
+	second, err := Solve(bg, sk, a, Options{Cache: NewCache(0), Store: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.CacheHit || second.Tier != TierDisk || second.Winner != "cache" {
-		t.Fatalf("second solve = hit=%v tier=%q winner=%q, want disk-tier cache hit", second.CacheHit, second.Tier, second.Winner)
+	if !second.CacheHit || second.Tier != TierDisk {
+		t.Fatalf("second solve = hit=%v tier=%q, want disk-tier cache hit", second.CacheHit, second.Tier)
 	}
 	if second.Cost != first.Cost {
 		t.Fatalf("disk-tier cost %d, solved cost %d", second.Cost, first.Cost)
@@ -223,7 +223,7 @@ func TestSolveUsesDiskTier(t *testing.T) {
 
 	// Conflict-budgeted solves bypass both tiers entirely.
 	puts := disk.puts
-	budgeted := Options{Race: true, Cache: NewCache(0), Store: disk}
+	budgeted := Options{Cache: NewCache(0), Store: disk}
 	budgeted.Exact.SAT.MaxConflicts = 1 << 30
 	if _, err := Solve(bg, sk, a, budgeted); err != nil {
 		t.Fatal(err)

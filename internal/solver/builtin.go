@@ -71,8 +71,7 @@ func exactFactory(strategy exact.Strategy, subsets, minimal bool) Factory {
 }
 
 // exactSolver runs one exact-family method through portfolio.Solve, which
-// owns the result tiers, the optional engine race and the degradation
-// ladder.
+// owns the result tiers and the degradation ladder.
 type exactSolver struct {
 	cfg      Config
 	strategy exact.Strategy
@@ -91,14 +90,17 @@ func (s exactSolver) Solve(ctx context.Context, sk *circuit.Skeleton, a *arch.Ar
 			InitialMapping: s.cfg.InitialLayout,
 			Parallel:       s.cfg.Parallel,
 		},
-		Race:       s.cfg.Portfolio,
-		UpperBound: s.cfg.UpperBound,
-		Seed:       s.cfg.Seed,
-		Store:      s.cfg.Store,
-		Ladder:     s.cfg.Ladder,
+		Seed:   s.cfg.Seed,
+		Store:  s.cfg.Store,
+		Ladder: s.cfg.Ladder,
+	}
+	if s.cfg.Portfolio {
+		// Every instance the SAT encoder accepts fits the DP engine's
+		// state cap, and DP solves it faster; see Config.Portfolio.
+		po.Exact.Engine = exact.EngineDP
 	}
 	if s.cfg.Portfolio || s.cfg.Store != nil {
-		// Without the race, the memory tier serves only alongside a
+		// Outside Portfolio mode the memory tier serves only alongside a
 		// persistent store: a plain exact solve is never memoized.
 		po.Cache = s.cfg.Cache
 	}

@@ -59,11 +59,12 @@ func starvedInstance() (*circuit.Skeleton, *arch.Arch) {
 
 // TestExactCachingPolicy pins which cache tier, if any, serves the second
 // of two identical exact-family solves, over every combination the rule
-// depends on: the SAT/DP race on or off, a persistent store attached or
-// not, a conflict budget, and a ladder-degraded answer. A result is
-// memoized only when it is a full solve without a conflict budget, and
-// only when racing or when a store is attached: without either, the
-// Config's memory cache is never touched.
+// depends on: Portfolio mode on or off (the "race" subtest label, named
+// after the engine race Portfolio mode once ran), a persistent store
+// attached or not, a conflict budget, and a ladder-degraded answer. A
+// result is memoized only when it is a full solve without a conflict
+// budget, and only in Portfolio mode or when a store is attached: without
+// either, the Config's memory cache is never touched.
 func TestExactCachingPolicy(t *testing.T) {
 	for _, race := range []bool{false, true} {
 		for _, withStore := range []bool{false, true} {
@@ -81,9 +82,6 @@ func TestExactCachingPolicy(t *testing.T) {
 						sk, a := circuit.Figure1b(), arch.QX4()
 						if degraded {
 							sk, a = starvedInstance()
-							// Skip the race's bounding phase: on this
-							// instance it can outlast the deadline alone.
-							cfg.UpperBound = -1
 						}
 						solve := func(cfg Config) *Plan {
 							t.Helper()
@@ -145,7 +143,7 @@ func TestExactCachingPolicy(t *testing.T) {
 }
 
 // TestExactAnytimeAnswerNotCached covers the ladder's other degraded
-// rung on the non-race path: a SAT descent cut off by its deadline after a
+// rung outside Portfolio mode: a SAT descent cut off by its deadline after a
 // first model hands back that incumbent, which must reach neither tier.
 // The deadline window between "no model yet" and "optimum proven" is found
 // by binary search; the test skips only if it is too narrow to hit.

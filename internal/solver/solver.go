@@ -25,12 +25,12 @@
 // instance to portfolio.Solve, which owns the result tiers (Cache over an
 // optional persistent Store), the degradation ladder and the rule that
 // degraded or conflict-budgeted answers are never cached.
-// Config.Portfolio only turns on the SAT/DP race inside that call; without
-// it the configured Engine runs alone.
+// Config.Portfolio runs that call on the DP engine with the memory tier on;
+// without it the configured Engine runs alone.
 //
 // All solvers are safe for concurrent use by multiple goroutines: a Solver
 // value holds only immutable configuration, so one instance may serve a
-// whole worker pool (qxmap.MapBatch relies on this).
+// whole worker pool (qxmap's Mapper.MapBatch relies on this).
 package solver
 
 import (
@@ -56,7 +56,7 @@ type Solver interface {
 // applies only to the selected method.
 type Config struct {
 	// Engine selects the exact backend (default exact.EngineSAT); ignored
-	// by the heuristic family and when Portfolio races both engines.
+	// by the heuristic family and in Portfolio mode, which runs DP.
 	Engine exact.Engine
 	// SAT carries SAT-engine tuning (start bound, descent mode, conflict
 	// budget); exact family only.
@@ -74,10 +74,12 @@ type Config struct {
 	InitialLayout []int
 	// Parallel fans the §4.1 subset instances out across goroutines.
 	Parallel bool
-	// Portfolio turns on the engine race of internal/portfolio for the
-	// exact family: the stochastic heuristic bounds the SAT descent, the
-	// SAT and DP engines race, and results are memoized in Cache.
-	// Heuristic methods ignore it.
+	// Portfolio solves the exact family on the DP engine and memoizes
+	// results in Cache. DP takes every instance the SAT encoder accepts:
+	// the encoder refuses devices (and §4.1 subsets) over 6 qubits, so
+	// such an instance has at most 6! = 720 mappings, inside DP's
+	// 4096-state cap, and DP solves it in milliseconds where SAT takes
+	// tens to thousands of times longer. Heuristic methods ignore it.
 	Portfolio bool
 	// Cache is the memory tier of the exact family's result cache. It
 	// serves when Portfolio is set or a Store is attached; a plain exact
@@ -87,12 +89,6 @@ type Config struct {
 	// disk hit (promoted into the Cache) → solve → write-through, so
 	// identical instances are served across process restarts.
 	Store portfolio.ResultStore
-	// UpperBound, when positive, is an externally known bound on F handed
-	// to the race in place of its own bounding phase; a negative value
-	// records that the caller already bounded the instance and found
-	// F = 0 (no seedable bound, but the bounding phase is still skipped).
-	// Zero leaves the race's own bounding enabled. Portfolio mode only.
-	UpperBound int
 	// Ladder enables graceful degradation for the exact family: the SAT
 	// descent runs in anytime mode (a deadline that expires after a model
 	// was found returns that incumbent as a valid non-minimal plan,

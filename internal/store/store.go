@@ -520,9 +520,6 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns a snapshot of the store's counters and sizes.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()

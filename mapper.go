@@ -43,10 +43,6 @@ var ErrQueueFull = errors.New("qxmap: scheduler queue full")
 // (explicit per-call Options); batches through MapBatch; asynchronous jobs
 // through Submit, which returns a JobHandle with Wait/Done/Cancel/Stats.
 // All methods are safe for concurrent use.
-//
-// The package-level Map, MapContext and MapBatch functions delegate to a
-// lazily-initialized process-wide default instance (see Default), which
-// preserves the historical shared-cache behavior.
 type Mapper struct {
 	opts    Options
 	cache   *portfolio.Cache
@@ -122,9 +118,9 @@ func WithEngine(e Engine) Option {
 	}
 }
 
-// WithPortfolio turns on the engine race for exact methods by default:
-// heuristic bound seeding, SAT/DP racing and memoization in the
-// instance's own cache (see WithCacheSize).
+// WithPortfolio turns on Portfolio mode for exact methods by default: the
+// DP engine, with memoization in the instance's own cache (see
+// WithCacheSize and Options.Portfolio).
 func WithPortfolio(on bool) Option {
 	return func(c *mapperConfig) error {
 		c.opts.Portfolio = on
@@ -307,18 +303,9 @@ func WithLookahead(w float64) Option {
 	}
 }
 
-// WithOptions replaces the instance's default Options wholesale. Later
-// field-level options (WithMethod, WithEngine, …) still apply on top.
-func WithOptions(opts Options) Option {
-	return func(c *mapperConfig) error {
-		c.opts = opts
-		return nil
-	}
-}
-
 // NewMapper builds a Mapper from functional options. The zero
-// configuration — NewMapper() — matches the package-level defaults: exact
-// method, SAT engine, verification on, one worker per core, a
+// configuration — NewMapper() — is the zero Options (exact method, SAT
+// engine, verification on), one worker per core, a
 // portfolio.DefaultCacheSize-entry cache and no default timeout.
 func NewMapper(options ...Option) (*Mapper, error) {
 	cfg := mapperConfig{queueDepth: DefaultQueueDepth}
@@ -804,25 +791,4 @@ func (m *Mapper) runHandle(h *JobHandle) {
 	defer cancel()
 	res, err := m.mapPipeline(ctx, h.job.Circuit, h.job.Arch, h.job.Opts)
 	h.finish(res, err)
-}
-
-// Default mapper: the package-level Map/MapContext/MapBatch wrappers
-// delegate to this lazily-initialized instance, preserving the historical
-// process-wide shared-cache behavior. It is the only package-level mutable
-// state in qxmap.
-var (
-	defaultMapper     *Mapper
-	defaultMapperOnce sync.Once
-)
-
-// Default returns the process-wide default Mapper used by the package-level
-// Map, MapContext and MapBatch wrappers: zero-option configuration, shared
-// portfolio cache, lazily initialized on first use. New code that needs
-// isolation (its own cache, worker bound or timeout) should create its own
-// instance with NewMapper instead.
-func Default() *Mapper {
-	defaultMapperOnce.Do(func() {
-		defaultMapper, _ = NewMapper() // no options: cannot fail
-	})
-	return defaultMapper
 }

@@ -33,8 +33,8 @@ func TestNewMapperOptionValidation(t *testing.T) {
 	}
 }
 
-// TestNewMapperDefaults: the zero configuration mirrors the package-level
-// defaults, and option values land in Options().
+// TestNewMapperDefaults: the zero configuration is the zero Options, and
+// option values land in Options().
 func TestNewMapperDefaults(t *testing.T) {
 	m, err := NewMapper()
 	if err != nil {
@@ -76,9 +76,11 @@ func TestNewMapperDefaults(t *testing.T) {
 	}
 }
 
-// TestMapperMapParity: an instance Map equals the package-level wrapper on
-// the same input (both run the identical pipeline).
+// TestMapperMapParity: Map under instance defaults equals MapWith with the
+// same Options passed per call on a default instance (both run the
+// identical pipeline).
 func TestMapperMapParity(t *testing.T) {
+	mp := newTestMapper(t)
 	m, err := NewMapper(WithEngine(EngineDP))
 	if err != nil {
 		t.Fatal(err)
@@ -89,12 +91,12 @@ func TestMapperMapParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := Map(c, QX4(), Options{Engine: EngineDP})
+	pkg, err := mp.MapWith(context.Background(), c, QX4(), Options{Engine: EngineDP})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inst.Cost != pkg.Cost || inst.Swaps != pkg.Swaps || inst.Switches != pkg.Switches {
-		t.Errorf("instance result (F=%d) differs from package result (F=%d)", inst.Cost, pkg.Cost)
+		t.Errorf("instance-default result (F=%d) differs from per-call result (F=%d)", inst.Cost, pkg.Cost)
 	}
 	if !inst.Minimal {
 		t.Error("exact instance result not minimal")
@@ -182,7 +184,7 @@ func TestMapperSubmitWait(t *testing.T) {
 	default:
 		t.Error("Done() not closed after Wait returned")
 	}
-	seq, err := Map(Figure1a(), QX4(), Options{Engine: EngineDP})
+	seq, err := m.MapWith(context.Background(), Figure1a(), QX4(), Options{Engine: EngineDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +234,7 @@ func TestMapperSubmitManyParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
-		seq, err := Map(jobs[i].Circuit, jobs[i].Arch, jobs[i].Opts)
+		seq, err := m.MapWith(context.Background(), jobs[i].Circuit, jobs[i].Arch, jobs[i].Opts)
 		if err != nil {
 			t.Fatalf("sequential %d: %v", i, err)
 		}

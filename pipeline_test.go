@@ -1,6 +1,7 @@
 package qxmap
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 )
@@ -36,23 +37,24 @@ func randomElementary(seed int64, n, gates int) *Circuit {
 // compliant circuit (Map's built-in verification would error otherwise),
 // exact methods agree across engines, and no method beats the minimum.
 func TestPipelineProperty(t *testing.T) {
+	mp := newTestMapper(t)
 	a := QX4()
 	f := func(seed int64, nRaw, gRaw uint) bool {
 		n := 2 + int(nRaw%4)
 		gates := 1 + int(gRaw%12)
 		c := randomElementary(seed, n, gates)
 
-		min, err := Map(c, a, Options{Engine: EngineDP})
+		min, err := mp.MapWith(context.Background(), c, a, Options{Engine: EngineDP})
 		if err != nil {
 			return false
 		}
-		sat, err := Map(c, a, Options{Engine: EngineSAT})
+		sat, err := mp.MapWith(context.Background(), c, a, Options{Engine: EngineSAT})
 		if err != nil || sat.Cost != min.Cost {
 			return false
 		}
 		for _, m := range []Method{MethodExactSubsets, MethodDisjoint, MethodOdd,
 			MethodTriangle, MethodHeuristic, MethodAStar} {
-			res, err := Map(c, a, Options{Method: m, Engine: EngineDP, Seed: seed, Lookahead: 0.5})
+			res, err := mp.MapWith(context.Background(), c, a, Options{Method: m, Engine: EngineDP, Seed: seed, Lookahead: 0.5})
 			if err != nil {
 				// §4.2 restrictions can make an instance unsatisfiable;
 				// that is a legitimate outcome, not a failure.
@@ -63,7 +65,7 @@ func TestPipelineProperty(t *testing.T) {
 			}
 		}
 		// Optimized mapping stays verified (Map re-verifies internally).
-		opt, err := Map(c, a, Options{Engine: EngineDP, Optimize: true})
+		opt, err := mp.MapWith(context.Background(), c, a, Options{Engine: EngineDP, Optimize: true})
 		if err != nil {
 			return false
 		}
@@ -77,6 +79,7 @@ func TestPipelineProperty(t *testing.T) {
 // TestPipelineOnAllArchitectures maps a fixed workload to every catalog
 // architecture, relying on Map's internal verification.
 func TestPipelineOnAllArchitectures(t *testing.T) {
+	mp := newTestMapper(t)
 	c := randomElementary(7, 4, 10)
 	for _, name := range []string{"ibmqx2", "ibmqx4", "ibmqx5", "melbourne", "tokyo", "linear6", "ring5", "grid2x3"} {
 		a, err := ArchByName(name)
@@ -87,7 +90,7 @@ func TestPipelineOnAllArchitectures(t *testing.T) {
 		if a.NumQubits() > 5 {
 			method = MethodExactSubsets
 		}
-		res, err := Map(c, a, Options{Method: method, Engine: EngineDP})
+		res, err := mp.MapWith(context.Background(), c, a, Options{Method: method, Engine: EngineDP})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -100,13 +103,14 @@ func TestPipelineOnAllArchitectures(t *testing.T) {
 
 // TestExactEnginesAgreeWithOptimizeAndLayouts stresses option combinations.
 func TestExactEnginesAgreeWithOptimizeAndLayouts(t *testing.T) {
+	mp := newTestMapper(t)
 	c := randomElementary(11, 3, 8)
 	pin := []int{2, 0, 1}
-	dp, err := Map(c, QX4(), Options{Engine: EngineDP, InitialLayout: pin, Optimize: true})
+	dp, err := mp.MapWith(context.Background(), c, QX4(), Options{Engine: EngineDP, InitialLayout: pin, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Map(c, QX4(), Options{Engine: EngineSAT, InitialLayout: pin, Optimize: true})
+	st, err := mp.MapWith(context.Background(), c, QX4(), Options{Engine: EngineSAT, InitialLayout: pin, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,8 @@
 // instance owns its portfolio cache and its bounded async scheduler.
 // Synchronous calls go through Mapper.Map / Mapper.MapWith / Mapper.MapBatch;
 // asynchronous jobs through Mapper.Submit, which returns a JobHandle with
-// Wait, Done, Cancel and Stats. The package-level Map, MapContext and
-// MapBatch functions remain as deprecated thin wrappers over a
-// lazily-initialized default instance (Default), preserving the historical
-// process-wide shared-cache behavior.
+// Wait, Done, Cancel and Stats. The package keeps no mutable state of its
+// own: every cache and worker pool belongs to a Mapper.
 //
 // # Pipeline
 //
@@ -51,37 +49,36 @@
 // reports per-stage wall-clock durations plus solver-level counters (cache
 // hit, CDCL solves/conflicts, engine provenance).
 //
-// Batches of independent mapping jobs run concurrently through MapBatch: a
-// bounded worker pool with per-job deadlines and fail-soft error
-// collection (see batch.go).
+// Batches of independent mapping jobs run concurrently through
+// Mapper.MapBatch: a bounded worker pool with per-job deadlines and
+// fail-soft error collection (see batch.go).
 //
 // # Portfolio solving
 //
 // Every exact method runs through one solve path (internal/portfolio),
 // which owns the result cache and the degradation ladder.
-// Options{Portfolio: true} turns on its engine race: the stochastic
-// heuristic first derives a cheap upper bound that seeds the SAT engine's
-// cost descent, then the SAT and DP engines race concurrently — the first
-// valid minimal result wins and the loser is cancelled. Results are
-// memoized in the Mapper instance's LRU cache keyed by a canonical hash of
-// (skeleton, architecture, strategy), so repeated Map calls on identical
-// instances return immediately (Result.CacheHit reports this). Without
-// the race, exact results are memoized only when the Mapper has a
-// persistent store (WithStore). The winning backend is echoed in
-// Result.Engine. Two Mapper instances never share cache entries; the
-// package-level wrappers all share the default instance's cache.
+// Options{Portfolio: true} solves on the DP engine, whatever Engine says,
+// and memoizes results in the Mapper instance's LRU cache keyed by a
+// canonical hash of (skeleton, architecture, strategy), so repeated Map
+// calls on identical instances return immediately (Result.CacheHit
+// reports this). DP takes every instance the SAT engine can: the SAT
+// encoder refuses devices and §4.1 subsets over 6 qubits, so such an
+// instance has at most 720 mappings, inside DP's 4096-state cap, and DP
+// solves it in milliseconds where SAT takes tens to thousands of times
+// longer. Without Portfolio, exact results are memoized only when the
+// Mapper has a persistent store (WithStore). Result.Engine reports the
+// backend that ran. Two Mapper instances never share cache entries.
 //
 // # Context and cancellation
 //
-// MapContext threads a context.Context through the whole solve stack: the
-// symbolic encoder, the CDCL solver (polled every
+// Every Mapper call threads its context.Context through the whole solve
+// stack: the symbolic encoder, the CDCL solver (polled every
 // sat.Options.CtxPollConflicts conflicts, 256 by default, and at every
 // restart), the DP engine (checked at every frame transition), the §4.1
 // parallel subset fan-out, and the heuristic mappers (checked between
 // layers, restarts and SABRE passes). Cancelling the context — or
 // exceeding a deadline set with context.WithTimeout — aborts a solve
-// promptly and returns an error wrapping ctx.Err(). Map is shorthand for
-// MapContext(context.Background(), …).
+// promptly and returns an error wrapping ctx.Err().
 package qxmap
 
 import (
@@ -195,8 +192,8 @@ func ParseMethod(name string) (Method, error) {
 
 // Engine selects the exact solving backend. It is an alias of the internal
 // engine type, so the name↔value mapping ("sat", "dp") has exactly one
-// definition that every layer — portfolio winners, result provenance, CLI
-// flags — round-trips through.
+// definition that every layer — result provenance, CLI flags — round-trips
+// through.
 type Engine = exact.Engine
 
 const (
@@ -212,12 +209,12 @@ const (
 // round-tripping with Engine.String().
 func ParseEngine(name string) (Engine, error) { return exact.ParseEngine(name) }
 
-// Options configures Map.
+// Options configures a Mapper call.
 type Options struct {
 	// Method selects the algorithm (default MethodExact).
 	Method Method
 	// Engine selects the exact backend (default EngineSAT); ignored by
-	// MethodHeuristic.
+	// the heuristic methods and in Portfolio mode, which runs EngineDP.
 	Engine Engine
 	// HeuristicRuns is the number of seeds for MethodHeuristic, keeping
 	// the best (default 5, as in the paper's evaluation).
@@ -267,13 +264,12 @@ type Options struct {
 	// cost model deliberately excludes this step (§3, footnote 2) — but
 	// the returned Mapped circuit is the optimized one, still verified.
 	Optimize bool
-	// Portfolio turns on the engine race for exact methods: the
-	// stochastic heuristic seeds the SAT descent with an upper bound, the
-	// SAT and DP engines race with first-valid-minimal-wins semantics, and
-	// results are memoized in the Mapper instance's LRU cache (the default
-	// instance's cache for the package-level wrappers) even without a
-	// store. The Engine option is then ignored (the winning engine is
-	// reported in Result.Engine); heuristic methods are unaffected.
+	// Portfolio solves exact methods on the DP engine and memoizes results
+	// in the Mapper instance's LRU cache even without a store. The Engine
+	// option is then ignored (Result.Engine reports EngineDP); heuristic
+	// methods are unaffected. Under Ladder, a Portfolio solve that runs
+	// out of deadline goes straight to the heuristic rung: the DP engine
+	// keeps no anytime incumbent.
 	Portfolio bool
 	// CostModel replaces the paper's uniform 7/4 objective with a weighted
 	// one: per-edge SWAP weights and per-direction switch weights (e.g.
@@ -397,28 +393,6 @@ type Result struct {
 
 // TotalGates returns the gate count of the mapped circuit.
 func (r *Result) TotalGates() int { return r.Mapped.Len() }
-
-// Map maps the circuit onto the architecture. The input must be
-// elementary (single-qubit gates and CNOTs only — decompose SWAP/MCT gates
-// first, e.g. with the revlib substrate or cmd/qxsynth). It is shorthand
-// for MapContext with context.Background().
-//
-// Deprecated: Map delegates to the process-wide default Mapper (see
-// Default), whose portfolio cache is shared by every caller in the
-// process. New code should create an instance with NewMapper and call
-// Mapper.Map or Mapper.MapWith for isolated caches and per-instance
-// tuning.
-func Map(c *Circuit, a *Architecture, opts Options) (*Result, error) {
-	return MapContext(context.Background(), c, a, opts)
-}
-
-// MapContext maps the circuit under deadline/cancellation control.
-//
-// Deprecated: MapContext delegates to the process-wide default Mapper (see
-// Default). New code should use NewMapper and Mapper.MapWith.
-func MapContext(ctx context.Context, c *Circuit, a *Architecture, opts Options) (*Result, error) {
-	return Default().MapWith(ctx, c, a, opts)
-}
 
 // mapPipeline runs the staged mapping pipeline — skeleton extraction, the
 // registry-resolved solve, materialization, verification and optional
@@ -594,7 +568,7 @@ func (m *Mapper) solvePlan(ctx context.Context, sk *circuit.Skeleton, a *arch.Ar
 	}
 	// The nil check matters: assigning a nil *store.Store into the
 	// interface field would make it non-nil and switch on caching for
-	// exact solves without the race.
+	// exact solves outside Portfolio mode.
 	if m.store != nil {
 		cfg.Store = m.store
 	}

@@ -9,12 +9,25 @@ import (
 	"repro/internal/verify"
 )
 
+// newTestMapper returns a Mapper with the zero-option configuration for
+// one test or benchmark, closed when it ends.
+func newTestMapper(tb testing.TB) *Mapper {
+	tb.Helper()
+	m, err := NewMapper()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { m.Close() })
+	return m
+}
+
 func TestMapFigure1aMatchesPaperExample7(t *testing.T) {
+	mp := newTestMapper(t)
 	// The central headline check: mapping the paper's running example to
 	// IBM QX4 costs exactly F = 4 (Fig. 5), and the result is a verified-
 	// equivalent, coupling-compliant circuit.
 	for _, engine := range []Engine{EngineSAT, EngineDP} {
-		res, err := Map(Figure1a(), QX4(), Options{Engine: engine})
+		res, err := mp.MapWith(context.Background(), Figure1a(), QX4(), Options{Engine: engine})
 		if err != nil {
 			t.Fatalf("engine %d: %v", engine, err)
 		}
@@ -36,12 +49,13 @@ func TestMapFigure1aMatchesPaperExample7(t *testing.T) {
 }
 
 func TestMapAllMethodsVerify(t *testing.T) {
+	mp := newTestMapper(t)
 	c := Figure1a()
 	a := QX4()
 	costs := map[Method]int{}
 	for m := MethodExact; m <= MethodHeuristic; m++ {
 		opts := Options{Method: m, Engine: EngineDP, Seed: 7}
-		res, err := Map(c, a, opts)
+		res, err := mp.MapWith(context.Background(), c, a, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -64,8 +78,9 @@ func TestMapAllMethodsVerify(t *testing.T) {
 }
 
 func TestMapCircuitWithoutCNOTs(t *testing.T) {
+	mp := newTestMapper(t)
 	c := NewCircuit(3).AddH(0).AddT(1).AddX(2)
-	res, err := Map(c, QX4(), Options{})
+	res, err := mp.MapWith(context.Background(), c, QX4(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,20 +93,23 @@ func TestMapCircuitWithoutCNOTs(t *testing.T) {
 }
 
 func TestMapRejectsOversizedCircuit(t *testing.T) {
+	mp := newTestMapper(t)
 	c := NewCircuit(6).AddCNOT(0, 5)
-	if _, err := Map(c, QX4(), Options{}); err == nil {
+	if _, err := mp.MapWith(context.Background(), c, QX4(), Options{}); err == nil {
 		t.Error("6 qubits on QX4 should fail")
 	}
 }
 
 func TestMapRejectsNonElementary(t *testing.T) {
+	mp := newTestMapper(t)
 	c := NewCircuit(3).AddMCT([]int{0, 1}, 2)
-	if _, err := Map(c, QX4(), Options{}); err == nil {
+	if _, err := mp.MapWith(context.Background(), c, QX4(), Options{}); err == nil {
 		t.Error("MCT should be rejected (decompose first)")
 	}
 }
 
 func TestMapQASMRoundTrip(t *testing.T) {
+	mp := newTestMapper(t)
 	src := `OPENQASM 2.0;
 include "qelib1.inc";
 qreg q[3];
@@ -105,7 +123,7 @@ t q[2];
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Map(c, QX4(), Options{Engine: EngineDP})
+	res, err := mp.MapWith(context.Background(), c, QX4(), Options{Engine: EngineDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +144,10 @@ t q[2];
 }
 
 func TestMapOnQX5ViaSubsets(t *testing.T) {
+	mp := newTestMapper(t)
 	// 16-qubit device: exact methods need the subset optimization.
 	c := NewCircuit(3).AddCNOT(0, 1).AddCNOT(1, 2).AddCNOT(0, 2)
-	res, err := Map(c, QX5(), Options{Method: MethodExactSubsets, Engine: EngineDP})
+	res, err := mp.MapWith(context.Background(), c, QX5(), Options{Method: MethodExactSubsets, Engine: EngineDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +160,16 @@ func TestMapOnQX5ViaSubsets(t *testing.T) {
 }
 
 func TestHeuristicNeverBelowExact(t *testing.T) {
+	mp := newTestMapper(t)
 	for seed := int64(0); seed < 5; seed++ {
 		c := NewCircuit(4).
 			AddCNOT(0, 1).AddCNOT(2, 3).AddCNOT(0, 2).
 			AddCNOT(1, 3).AddCNOT(0, 3).AddCNOT(1, 2)
-		ex, err := Map(c, QX4(), Options{Engine: EngineDP})
+		ex, err := mp.MapWith(context.Background(), c, QX4(), Options{Engine: EngineDP})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := Map(c, QX4(), Options{Method: MethodHeuristic, Seed: seed})
+		h, err := mp.MapWith(context.Background(), c, QX4(), Options{Method: MethodHeuristic, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,12 +237,13 @@ func TestParseEngineRoundTrips(t *testing.T) {
 }
 
 func TestNewArch(t *testing.T) {
+	mp := newTestMapper(t)
 	a, err := NewArch("tri", 3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewCircuit(3).AddCNOT(0, 1).AddCNOT(2, 1)
-	res, err := Map(c, a, Options{Engine: EngineDP})
+	res, err := mp.MapWith(context.Background(), c, a, Options{Engine: EngineDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,17 +253,18 @@ func TestNewArch(t *testing.T) {
 }
 
 func TestSATBudgetGracefulDegradation(t *testing.T) {
+	mp := newTestMapper(t)
 	c := Figure1a()
 	// A hopeless budget must fail with a clear error, not a bogus
 	// "unsatisfiable" claim.
-	if _, err := Map(c, QX4(), Options{SATMaxConflicts: 1}); err == nil ||
+	if _, err := mp.MapWith(context.Background(), c, QX4(), Options{SATMaxConflicts: 1}); err == nil ||
 		!strings.Contains(err.Error(), "budget") {
 		t.Errorf("tiny budget: err = %v, want budget-exhausted error", err)
 	}
 	// A budget generous enough for the whole descent completes the UNSAT
 	// proof, so minimality IS established despite the budget — the flag
 	// reports what the run proved, not what the config allowed.
-	res, err := Map(c, QX4(), Options{SATMaxConflicts: 100000})
+	res, err := mp.MapWith(context.Background(), c, QX4(), Options{SATMaxConflicts: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,17 +280,18 @@ func TestSATBudgetGracefulDegradation(t *testing.T) {
 }
 
 func TestMapWithOptimize(t *testing.T) {
+	mp := newTestMapper(t)
 	// A circuit with redundancy the mapper preserves but the optimizer
 	// removes: back-to-back H pairs around a CNOT chain.
 	c := NewCircuit(3).
 		AddH(0).AddH(0). // cancels
 		AddCNOT(0, 1).AddCNOT(1, 2).
 		AddT(2).AddTdg(2) // cancels
-	plain, err := Map(c, QX4(), Options{Engine: EngineDP})
+	plain, err := mp.MapWith(context.Background(), c, QX4(), Options{Engine: EngineDP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	optimized, err := Map(c, QX4(), Options{Engine: EngineDP, Optimize: true})
+	optimized, err := mp.MapWith(context.Background(), c, QX4(), Options{Engine: EngineDP, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +305,12 @@ func TestMapWithOptimize(t *testing.T) {
 }
 
 func TestMapOnTokyoBidirectional(t *testing.T) {
+	mp := newTestMapper(t)
 	// Tokyo's couplings are bidirectional: direction switches are never
 	// needed, so any mapping's cost is a multiple of 7.
 	c := NewCircuit(4).
 		AddCNOT(0, 1).AddCNOT(1, 0).AddCNOT(2, 3).AddCNOT(3, 2)
-	res, err := Map(c, Tokyo(), Options{Method: MethodExactSubsets, Engine: EngineDP})
+	res, err := mp.MapWith(context.Background(), c, Tokyo(), Options{Method: MethodExactSubsets, Engine: EngineDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +323,8 @@ func TestMapOnTokyoBidirectional(t *testing.T) {
 }
 
 func TestMapAStarMethod(t *testing.T) {
-	res, err := Map(Figure1a(), QX4(), Options{Method: MethodAStar, Lookahead: 0.5})
+	mp := newTestMapper(t)
+	res, err := mp.MapWith(context.Background(), Figure1a(), QX4(), Options{Method: MethodAStar, Lookahead: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +337,9 @@ func TestMapAStarMethod(t *testing.T) {
 }
 
 func TestDepthReporting(t *testing.T) {
+	mp := newTestMapper(t)
 	c := Figure1a()
-	res, err := Map(c, QX4(), Options{Engine: EngineDP})
+	res, err := mp.MapWith(context.Background(), c, QX4(), Options{Engine: EngineDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,16 +352,17 @@ func TestDepthReporting(t *testing.T) {
 }
 
 func TestMapWithInitialLayout(t *testing.T) {
+	mp := newTestMapper(t)
 	c := NewCircuit(2).AddCNOT(0, 1)
 	// Free: cost 0. Pinned to the reversed coupling direction: 4.
-	free, err := Map(c, QX4(), Options{Engine: EngineDP})
+	free, err := mp.MapWith(context.Background(), c, QX4(), Options{Engine: EngineDP})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if free.Cost != 0 {
 		t.Fatalf("free cost = %d", free.Cost)
 	}
-	pinned, err := Map(c, QX4(), Options{Engine: EngineDP, InitialLayout: []int{0, 1}})
+	pinned, err := mp.MapWith(context.Background(), c, QX4(), Options{Engine: EngineDP, InitialLayout: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +373,7 @@ func TestMapWithInitialLayout(t *testing.T) {
 		t.Errorf("layout not pinned: %v", pinned.InitialLayout)
 	}
 	// Heuristic honors the pin as its starting point.
-	h, err := Map(c, QX4(), Options{Method: MethodHeuristic, InitialLayout: []int{1, 0}})
+	h, err := mp.MapWith(context.Background(), c, QX4(), Options{Method: MethodHeuristic, InitialLayout: []int{1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,24 +381,25 @@ func TestMapWithInitialLayout(t *testing.T) {
 		t.Errorf("heuristic pinned-to-good-layout cost = %d", h.Cost)
 	}
 	// Subsets reject the pin.
-	if _, err := Map(c, QX4(), Options{Method: MethodExactSubsets, InitialLayout: []int{0, 1}}); err == nil {
+	if _, err := mp.MapWith(context.Background(), c, QX4(), Options{Method: MethodExactSubsets, InitialLayout: []int{0, 1}}); err == nil {
 		t.Error("subsets + pin should fail")
 	}
 }
 
 func TestMapSabreMethod(t *testing.T) {
-	res, err := Map(Figure1a(), QX4(), Options{Method: MethodSabre})
+	mp := newTestMapper(t)
+	res, err := mp.MapWith(context.Background(), Figure1a(), QX4(), Options{Method: MethodSabre})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cost < 4 {
 		t.Errorf("sabre cost %d below minimum", res.Cost)
 	}
-	if _, err := Map(Figure1a(), QX4(), Options{Method: MethodSabre, InitialLayout: []int{0, 1, 2, 3}}); err == nil {
+	if _, err := mp.MapWith(context.Background(), Figure1a(), QX4(), Options{Method: MethodSabre, InitialLayout: []int{0, 1, 2, 3}}); err == nil {
 		t.Error("sabre + InitialLayout should fail")
 	}
 	// A* now honors pinned layouts.
-	pinned, err := Map(NewCircuit(2).AddCNOT(0, 1), QX4(),
+	pinned, err := mp.MapWith(context.Background(), NewCircuit(2).AddCNOT(0, 1), QX4(),
 		Options{Method: MethodAStar, InitialLayout: []int{1, 0}})
 	if err != nil {
 		t.Fatal(err)
@@ -381,27 +409,28 @@ func TestMapSabreMethod(t *testing.T) {
 	}
 }
 
-// TestMapPortfolio routes the running example through the portfolio layer:
-// the cost must equal the lone exact engine's minimum, and a repeated call
-// on the identical instance must be served from the process-wide cache.
+// TestMapPortfolio maps the running example in Portfolio mode: the DP
+// engine answers with the minimum whatever Engine says, and a repeated
+// call on the identical instance is served from the Mapper's cache.
 func TestMapPortfolio(t *testing.T) {
+	mp := newTestMapper(t)
 	c := Figure1a()
 	a := QX4()
-	lone, err := Map(c, a, Options{Engine: EngineDP})
+	lone, err := mp.MapWith(context.Background(), c, a, Options{Engine: EngineDP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := Map(c, a, Options{Portfolio: true})
+	first, err := mp.MapWith(context.Background(), c, a, Options{Portfolio: true, Engine: EngineSAT})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Cost != lone.Cost {
-		t.Errorf("portfolio cost = %d, lone engine = %d", first.Cost, lone.Cost)
+	if first.Cost != lone.Cost || first.Engine != EngineDP || first.Stats.Engine != "dp" {
+		t.Errorf("portfolio cost %d engine %v (stats %q), want lone DP's %d on dp", first.Cost, first.Engine, first.Stats.Engine, lone.Cost)
 	}
 	if !first.Minimal {
 		t.Error("portfolio result not flagged minimal")
 	}
-	second, err := Map(c, a, Options{Portfolio: true})
+	second, err := mp.MapWith(context.Background(), c, a, Options{Portfolio: true, Engine: EngineSAT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,10 +444,11 @@ func TestMapPortfolio(t *testing.T) {
 
 // TestMapContextCancelled covers the public context plumbing end to end.
 func TestMapContextCancelled(t *testing.T) {
+	mp := newTestMapper(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, opts := range []Options{{}, {Portfolio: true}} {
-		if _, err := MapContext(ctx, Figure1a(), QX4(), opts); !errors.Is(err, context.Canceled) {
+		if _, err := mp.MapWith(ctx, Figure1a(), QX4(), opts); !errors.Is(err, context.Canceled) {
 			t.Errorf("Portfolio=%v: err = %v, want context.Canceled", opts.Portfolio, err)
 		}
 	}
@@ -428,6 +458,7 @@ func TestMapContextCancelled(t *testing.T) {
 // LowerBound counters must surface in Result.Stats, and SATNoLowerBound
 // must zero the reported seed without changing the cost.
 func TestStatsDescentCountersFlow(t *testing.T) {
+	mp := newTestMapper(t)
 	c := NewCircuit(4)
 	c.AddCNOT(0, 1)
 	c.AddCNOT(2, 3)
@@ -435,7 +466,7 @@ func TestStatsDescentCountersFlow(t *testing.T) {
 	c.AddCNOT(1, 3)
 	c.AddCNOT(0, 3)
 	c.AddCNOT(1, 2)
-	seeded, err := Map(c, QX4(), Options{Engine: EngineSAT})
+	seeded, err := mp.MapWith(context.Background(), c, QX4(), Options{Engine: EngineSAT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +476,7 @@ func TestStatsDescentCountersFlow(t *testing.T) {
 	if seeded.Stats.LowerBound <= 0 {
 		t.Errorf("K4 interactions on QX4 should have a positive lower bound, got %d", seeded.Stats.LowerBound)
 	}
-	off, err := Map(c, QX4(), Options{Engine: EngineSAT, SATNoLowerBound: true})
+	off, err := mp.MapWith(context.Background(), c, QX4(), Options{Engine: EngineSAT, SATNoLowerBound: true})
 	if err != nil {
 		t.Fatal(err)
 	}
