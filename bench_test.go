@@ -12,6 +12,7 @@ package qxmap
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/arch"
@@ -471,6 +472,9 @@ func BenchmarkTable1Portfolio(b *testing.B) {
 // all solved once (DP engine) before the timer starts. Memory serves them
 // from the LRU; Store shrinks the LRU to one entry, so cycling through the
 // suite misses it every time and reads the answer back from the store.
+// QASM is the service's memory hit end to end, as qxmapd serves it: the
+// circuit arrives as QASM text, MapWith runs with the ladder on, and the
+// answer is encoded as JSON with its mapped QASM.
 func BenchmarkMapperHit(b *testing.B) {
 	var circs []*Circuit
 	for _, bm := range revlib.Suite() {
@@ -478,30 +482,51 @@ func BenchmarkMapperHit(b *testing.B) {
 	}
 	a := QX4()
 	ctx := context.Background()
-	run := func(b *testing.B, tier string, opts ...Option) {
+	run := func(b *testing.B, tier string, asQASM bool, opts ...Option) {
 		opts = append(opts, WithStore(b.TempDir()), WithEngine(EngineDP))
 		m, err := NewMapper(opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer m.Close()
-		for _, c := range circs {
+		srcs := make([]string, len(circs))
+		for i, c := range circs {
 			if _, err := m.Map(ctx, c, a); err != nil {
 				b.Fatal(err)
 			}
+			if srcs[i], err = WriteQASM(c); err != nil {
+				b.Fatal(err)
+			}
 		}
+		mo := m.Options()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := m.Map(ctx, circs[i%len(circs)], a)
+			c := circs[i%len(circs)]
+			if asQASM {
+				if c, err = ParseQASM(srcs[i%len(circs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			res, err := m.MapWith(ctx, c, a, mo)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if res.CacheTier != tier {
 				b.Fatalf("served from %q, want %q", res.CacheTier, tier)
 			}
+			if asQASM {
+				body, err := res.JSON(true)
+				if err == nil {
+					_, err = json.Marshal(body)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
-	b.Run("Memory", func(b *testing.B) { run(b, "memory") })
-	b.Run("Store", func(b *testing.B) { run(b, "disk", WithCacheSize(1)) })
+	b.Run("Memory", func(b *testing.B) { run(b, "memory", false) })
+	b.Run("Store", func(b *testing.B) { run(b, "disk", false, WithCacheSize(1)) })
+	b.Run("QASM", func(b *testing.B) { run(b, "memory", true, WithLadder(true)) })
 }

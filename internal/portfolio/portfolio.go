@@ -111,7 +111,9 @@ func Solve(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opts Options
 	var key string
 	if cacheable {
 		key = Fingerprint(sk, a, opts.Exact)
-		if cached, tier, ok := tiers.Lookup(key); ok {
+		// A hit that does not fit the request is a miss: the solve below
+		// overwrites it in both tiers.
+		if cached, tier, ok := tiers.Lookup(key); ok && fits(cached, sk, a) {
 			cp := *cached
 			return &Result{Result: &cp, CacheHit: true, Tier: tier, Runtime: time.Since(start)}, nil
 		}
@@ -139,4 +141,33 @@ func Solve(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opts Options
 	}
 	cp := *res
 	return &Result{Result: &cp, Degradation: degradation, Runtime: time.Since(start)}, nil
+}
+
+// fits reports whether a cached result can answer the instance: its
+// solution places every skeleton gate and maps every logical qubit, and
+// its working architecture lies inside the request's. DecodeResult checks
+// a record against itself; this checks it against the request, so that a
+// record stored under the wrong key, well formed but of another instance,
+// is re-solved instead of indexing out of range in Result.Ops on every
+// request for the instance.
+func fits(r *exact.Result, sk *circuit.Skeleton, a *arch.Arch) bool {
+	sol := r.Solution
+	if len(sol.GateFrame) != sk.Len() || len(sol.Switched) != sk.Len() {
+		return false
+	}
+	for _, mp := range sol.FrameMappings {
+		if len(mp) != sk.NumQubits {
+			return false
+		}
+	}
+	m := r.WorkArch.NumQubits()
+	if r.SubsetBack == nil {
+		return m == a.NumQubits()
+	}
+	for _, q := range r.SubsetBack {
+		if q >= a.NumQubits() {
+			return false
+		}
+	}
+	return m <= a.NumQubits()
 }

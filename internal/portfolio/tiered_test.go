@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"sync"
@@ -230,5 +231,47 @@ func TestSolveUsesDiskTier(t *testing.T) {
 	}
 	if disk.puts != puts {
 		t.Fatal("budgeted solve wrote to the persistent tier")
+	}
+}
+
+// TestSolveResolvesForeignRecord stores a well-formed record of another
+// instance under an instance's key, as a hash collision or a record
+// rewritten in place would: the record decodes, but it places fewer gates
+// than the skeleton has, so Solve must read it as a miss, re-solve and
+// overwrite it, and hit on the next request.
+func TestSolveResolvesForeignRecord(t *testing.T) {
+	a := arch.QX4()
+	sk := mkSkeleton(4, [2]int{0, 1}, [2]int{2, 3}, [2]int{0, 2}, [2]int{1, 3}, [2]int{0, 3}, [2]int{1, 2})
+	other := mkSkeleton(3, [2]int{0, 1}, [2]int{1, 2})
+	eo := exact.Options{Engine: exact.EngineDP}
+	foreign, err := exact.Solve(bg, other, a, eo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := EncodeResult(foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newMapStore()
+	key := string(StoreKey(Fingerprint(sk, a, eo)))
+	st.m[key] = data
+	want, err := exact.Solve(bg, sk, a, eo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, hit := range []bool{false, true} {
+		got, err := Solve(bg, sk, a, Options{Exact: eo, Store: st})
+		if err != nil {
+			t.Fatalf("request %d: %v", i+1, err)
+		}
+		if got.CacheHit != hit || got.Cost != want.Cost {
+			t.Fatalf("request %d: hit %v cost %d, want hit %v cost %d", i+1, got.CacheHit, got.Cost, hit, want.Cost)
+		}
+		if _, err := got.Ops(sk); err != nil {
+			t.Fatalf("request %d: %v", i+1, err)
+		}
+	}
+	if bytes.Equal(st.m[key], data) {
+		t.Fatal("the foreign record was not overwritten")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -27,118 +28,127 @@ type token struct {
 	line int
 }
 
+// lexer scans the source string in place: token texts are substrings of
+// it. ASCII bytes are classified directly; anything above 0x7F is decoded
+// with utf8 and classified with the same unicode predicates, so an invalid
+// byte reads as U+FFFD, which starts no token.
 type lexer struct {
-	src  []rune
+	src  string
 	pos  int
 	line int
 }
 
 func newLexer(src string) *lexer {
-	return &lexer{src: []rune(src), line: 1}
+	return &lexer{src: src, line: 1}
 }
 
-func (l *lexer) peekRune() rune {
+// peek returns the rune at pos and its width in bytes (0, 0 at the end).
+func (l *lexer) peek() (rune, int) {
 	if l.pos >= len(l.src) {
-		return 0
+		return 0, 0
 	}
-	return l.src[l.pos]
+	if c := l.src[l.pos]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[l.pos:])
 }
 
-func (l *lexer) advance() rune {
-	r := l.src[l.pos]
-	l.pos++
-	if r == '\n' {
-		l.line++
+// isSpace, isLetter and isDigit are unicode.IsSpace, IsLetter and IsDigit
+// with an ASCII fast path.
+func isSpace(r rune) bool {
+	if r < utf8.RuneSelf {
+		return r == ' ' || '\t' <= r && r <= '\r'
 	}
-	return r
+	return unicode.IsSpace(r)
+}
+
+func isLetter(r rune) bool {
+	if r < utf8.RuneSelf {
+		return 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z'
+	}
+	return unicode.IsLetter(r)
+}
+
+func isDigit(r rune) bool {
+	if r < utf8.RuneSelf {
+		return '0' <= r && r <= '9'
+	}
+	return unicode.IsDigit(r)
 }
 
 // next returns the next token, skipping whitespace and // comments.
 func (l *lexer) next() (token, error) {
-	for l.pos < len(l.src) {
-		r := l.peekRune()
+	for {
+		r, w := l.peek()
 		switch {
-		case unicode.IsSpace(r):
-			l.advance()
-		case r == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
-			for l.pos < len(l.src) && l.peekRune() != '\n' {
-				l.advance()
+		case w == 0:
+			return token{kind: tokEOF, line: l.line}, nil
+		case isSpace(r):
+			if r == '\n' {
+				l.line++
 			}
-		default:
-			goto scan
+			l.pos += w
+			continue
+		case r == '/' && strings.HasPrefix(l.src[l.pos:], "//"):
+			if k := strings.IndexByte(l.src[l.pos:], '\n'); k >= 0 {
+				l.pos += k
+			} else {
+				l.pos = len(l.src)
+			}
+			continue
 		}
+		break
 	}
-	return token{kind: tokEOF, line: l.line}, nil
 
-scan:
-	start := l.line
-	r := l.peekRune()
+	start, line := l.pos, l.line
+	r, w := l.peek()
 	switch {
-	case unicode.IsLetter(r) || r == '_':
-		var b strings.Builder
-		for l.pos < len(l.src) {
-			r := l.peekRune()
-			if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
+	case isLetter(r) || r == '_':
+		for l.pos += w; ; l.pos += w {
+			if r, w = l.peek(); w == 0 || !isLetter(r) && !isDigit(r) && r != '_' {
 				break
 			}
-			b.WriteRune(l.advance())
 		}
-		return token{kind: tokIdent, text: b.String(), line: start}, nil
-	case unicode.IsDigit(r) || r == '.':
-		var b strings.Builder
+		return token{kind: tokIdent, text: l.src[start:l.pos], line: line}, nil
+	case isDigit(r) || r == '.':
 		seenE := false
-		for l.pos < len(l.src) {
-			r := l.peekRune()
-			if unicode.IsDigit(r) || r == '.' {
-				b.WriteRune(l.advance())
+		for ; w != 0; r, w = l.peek() {
+			if isDigit(r) || r == '.' {
+				l.pos += w
 				continue
 			}
 			if (r == 'e' || r == 'E') && !seenE {
 				seenE = true
-				b.WriteRune(l.advance())
-				if l.peekRune() == '+' || l.peekRune() == '-' {
-					b.WriteRune(l.advance())
+				l.pos++
+				if r, _ := l.peek(); r == '+' || r == '-' {
+					l.pos++
 				}
 				continue
 			}
 			break
 		}
-		return token{kind: tokNumber, text: b.String(), line: start}, nil
+		return token{kind: tokNumber, text: l.src[start:l.pos], line: line}, nil
 	case r == '"':
-		l.advance()
-		var b strings.Builder
-		for l.pos < len(l.src) && l.peekRune() != '"' {
-			b.WriteRune(l.advance())
+		end := strings.IndexByte(l.src[l.pos+1:], '"')
+		if end < 0 {
+			return token{}, fmt.Errorf("qasm: line %d: unterminated string", line)
 		}
-		if l.pos >= len(l.src) {
-			return token{}, fmt.Errorf("qasm: line %d: unterminated string", start)
+		text := l.src[l.pos+1 : l.pos+1+end]
+		l.line += strings.Count(text, "\n")
+		l.pos += end + 2
+		if !utf8.ValidString(text) {
+			// Keep the text the rune lexer gave: every invalid byte as
+			// U+FFFD. Error messages quote token texts.
+			text = string([]rune(text))
 		}
-		l.advance()
-		return token{kind: tokString, text: b.String(), line: start}, nil
-	case strings.ContainsRune(";,()[]{}+-*/", r):
-		l.advance()
+		return token{kind: tokString, text: text, line: line}, nil
+	case r < utf8.RuneSelf && strings.IndexByte(";,()[]{}+-*/", byte(r)) >= 0:
+		l.pos++
 		// Recognize "->" used by measure statements.
-		if r == '-' && l.peekRune() == '>' {
-			l.advance()
-			return token{kind: tokSymbol, text: "->", line: start}, nil
+		if r == '-' && l.pos < len(l.src) && l.src[l.pos] == '>' {
+			l.pos++
 		}
-		return token{kind: tokSymbol, text: string(r), line: start}, nil
+		return token{kind: tokSymbol, text: l.src[start:l.pos], line: line}, nil
 	}
-	return token{}, fmt.Errorf("qasm: line %d: unexpected character %q", start, r)
-}
-
-// lexAll tokenizes the whole input.
-func lexAll(src string) ([]token, error) {
-	l := newLexer(src)
-	var toks []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.kind == tokEOF {
-			return toks, nil
-		}
-	}
+	return token{}, fmt.Errorf("qasm: line %d: unexpected character %q", line, r)
 }

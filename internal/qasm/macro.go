@@ -155,6 +155,7 @@ func (p *parser) evalMacroExpr(toks []token, bindings map[string]float64) (float
 	}
 	sub = append(sub, token{kind: tokEOF})
 	tmp := &parser{toks: sub}
+	tmp.fill()
 	v, err := tmp.expr()
 	if err != nil {
 		return 0, err

@@ -12,13 +12,21 @@ import (
 // circuit. Multiple quantum registers are flattened into one qubit index
 // space in declaration order; classical registers, barriers, measures and
 // resets are ignored.
+//
+// The source is lexed as the parser reads it, but the first lexical error
+// anywhere in it takes precedence over any parse error, as if the whole
+// input were tokenized first.
 func Parse(src string) (*circuit.Circuit, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
+	p := &parser{lx: newLexer(src)}
+	p.fill()
+	c, err := p.program()
+	for p.lexErr == nil && p.tok.kind != tokEOF {
+		p.fill()
 	}
-	p := &parser{toks: toks}
-	return p.program()
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return c, err
 }
 
 type qreg struct {
@@ -27,12 +35,21 @@ type qreg struct {
 	size   int
 }
 
+// parser reads one token ahead (tok) from the lexer lx or, for a macro's
+// angle expression, from the token slice toks.
 type parser struct {
+	lx     *lexer
 	toks   []token
-	pos    int
+	tok    token
+	lexErr error // the lexer's error; the parser saw tokEOF in its place
 	regs   []qreg
 	n      int
 	macros map[string]*gateDef
+	// gates collects the program's gates until the register count, hence
+	// the circuit, is known. params and qubits are gateStmt's buffers.
+	gates  []circuit.Gate
+	params []float64
+	qubits []int
 }
 
 // gateDef is a user-defined gate from a `gate` block: a parametrized macro
@@ -52,11 +69,25 @@ type macroGate struct {
 	qubits []string
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+// fill reads the next token into tok. A slice source ends in tokEOF.
+func (p *parser) fill() {
+	if p.lx == nil {
+		p.tok, p.toks = p.toks[0], p.toks[1:]
+		return
+	}
+	t, err := p.lx.next()
+	if err != nil {
+		p.lexErr = err
+		t = token{kind: tokEOF, line: p.lx.line}
+	}
+	p.tok = t
+}
+
+func (p *parser) peek() token { return p.tok }
 func (p *parser) advance() token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.kind != tokEOF {
-		p.pos++
+		p.fill()
 	}
 	return t
 }
@@ -92,9 +123,7 @@ func (p *parser) program() (*circuit.Circuit, error) {
 			return nil, err
 		}
 	}
-	// First pass: collect register declarations and gate statements.
-	var c *circuit.Circuit
-	var pending []func(*circuit.Circuit) error
+	// First pass: collect register declarations and gates.
 
 	for {
 		t := p.peek()
@@ -146,19 +175,17 @@ func (p *parser) program() (*circuit.Circuit, error) {
 				return nil, err
 			}
 		default:
-			fn, err := p.gateStmt(t)
-			if err != nil {
+			if err := p.gateStmt(t); err != nil {
 				return nil, err
 			}
-			pending = append(pending, fn)
 		}
 	}
 	if p.n == 0 {
 		return nil, fmt.Errorf("qasm: no quantum registers declared")
 	}
-	c = circuit.New(p.n)
-	for _, fn := range pending {
-		if err := fn(c); err != nil {
+	c := circuit.New(p.n)
+	for _, g := range p.gates {
+		if err := c.Append(g); err != nil {
 			return nil, err
 		}
 	}
@@ -236,18 +263,18 @@ func (p *parser) qubitRef() (int, error) {
 	return reg.offset + i, nil
 }
 
-// gateStmt parses one gate application and returns a closure appending it.
-func (p *parser) gateStmt(nameTok token) (func(*circuit.Circuit) error, error) {
+// gateStmt parses one gate application and adds its gates to p.gates.
+func (p *parser) gateStmt(nameTok token) error {
 	name := p.advance().text // the identifier itself
 
 	// Optional parameter list.
-	var params []float64
+	params := p.params[:0]
 	if t := p.peek(); t.kind == tokSymbol && t.text == "(" {
 		p.advance()
 		for {
 			v, err := p.expr()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			params = append(params, v)
 			t := p.advance()
@@ -255,17 +282,18 @@ func (p *parser) gateStmt(nameTok token) (func(*circuit.Circuit) error, error) {
 				break
 			}
 			if t.kind != tokSymbol || t.text != "," {
-				return nil, p.errf(t, "expected ',' or ')' in parameter list")
+				return p.errf(t, "expected ',' or ')' in parameter list")
 			}
 		}
 	}
+	p.params = params
 
 	// Qubit operands.
-	var qubits []int
+	qubits := p.qubits[:0]
 	for {
 		q, err := p.qubitRef()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		qubits = append(qubits, q)
 		t := p.advance()
@@ -273,29 +301,25 @@ func (p *parser) gateStmt(nameTok token) (func(*circuit.Circuit) error, error) {
 			break
 		}
 		if t.kind != tokSymbol || t.text != "," {
-			return nil, p.errf(t, "expected ',' or ';' after qubit")
+			return p.errf(t, "expected ',' or ';' after qubit")
 		}
 	}
+	p.qubits = qubits
 
 	if def, ok := p.macros[name]; ok {
 		gates, err := p.expandMacro(def, params, qubits, 0)
 		if err != nil {
-			return nil, p.errf(nameTok, "%v", err)
+			return p.errf(nameTok, "%v", err)
 		}
-		return func(c *circuit.Circuit) error {
-			for _, g := range gates {
-				if err := c.Append(g); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, nil
+		p.gates = append(p.gates, gates...)
+		return nil
 	}
 	g, err := buildGate(name, params, qubits)
 	if err != nil {
-		return nil, p.errf(nameTok, "%v", err)
+		return p.errf(nameTok, "%v", err)
 	}
-	return func(c *circuit.Circuit) error { return c.Append(g) }, nil
+	p.gates = append(p.gates, g)
+	return nil
 }
 
 // buildGate translates a qelib1-style gate name into the circuit IR.
@@ -392,9 +416,17 @@ func buildGate(name string, params []float64, qubits []int) (circuit.Gate, error
 }
 
 // expr parses a constant angle expression: + - * / over numbers and pi,
-// with unary minus and parentheses.
+// with unary minus and parentheses. An expression that overflows to ±Inf
+// (or on to NaN) is an error: simulation turns such an angle into NaN
+// amplitudes, which no fidelity check rejects, and Write renders it as
+// text Parse cannot read.
 func (p *parser) expr() (float64, error) {
-	return p.addExpr()
+	t := p.peek()
+	v, err := p.addExpr()
+	if err == nil && (math.IsInf(v, 0) || math.IsNaN(v)) {
+		return 0, p.errf(t, "angle expression overflows")
+	}
+	return v, err
 }
 
 func (p *parser) addExpr() (float64, error) {

@@ -100,6 +100,9 @@ func TestParseErrors(t *testing.T) {
 		"division by zero":   `qreg q[1]; u1(1/0) q[0];`,
 		"missing semicolon":  `qreg q[2]`,
 		"bad char":           `qreg q[2]; h q[0]; @`,
+		"angle overflow":     `qreg q[1]; u3(1e300*1e300,0,0) q[0];`,
+		"NaN angle":          `qreg q[1]; u1(1e300*1e300-1e300*1e300) q[0];`,
+		"overflow in a body": `gate g(a) x { u1(a*a) x; } qreg q[1]; g(1e200) q[0];`,
 	}
 	for name, src := range cases {
 		if _, err := Parse(src); err == nil {

@@ -13,39 +13,58 @@ import (
 // be decomposed (internal/revlib) before export.
 func Write(c *circuit.Circuit) (string, error) {
 	var b strings.Builder
+	b.Grow(64 + len(c.Name()) + 16*c.Len())
 	b.WriteString("OPENQASM 2.0;\n")
 	b.WriteString("include \"qelib1.inc\";\n")
 	if name := c.Name(); name != "" {
-		fmt.Fprintf(&b, "// circuit: %s\n", name)
+		b.WriteString("// circuit: ")
+		b.WriteString(name)
+		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "qreg q[%d];\n", c.NumQubits())
+	b.WriteString("qreg q[")
+	b.WriteString(strconv.Itoa(c.NumQubits()))
+	b.WriteString("];\n")
 
 	for i, g := range c.Gates() {
 		switch g.Kind {
 		case circuit.KindU:
-			fmt.Fprintf(&b, "u3(%s,%s,%s) q[%d];\n",
-				angle(g.Theta), angle(g.Phi), angle(g.Lambda), g.Qubits[0])
+			b.WriteString("u3(")
+			writeAngle(&b, g.Theta)
+			b.WriteByte(',')
+			writeAngle(&b, g.Phi)
+			b.WriteByte(',')
+			writeAngle(&b, g.Lambda)
+			b.WriteString(") ")
+			writeOperands(&b, g.Qubits[:1])
 		case circuit.KindRz:
-			fmt.Fprintf(&b, "rz(%s) q[%d];\n", angle(g.Lambda), g.Qubits[0])
+			b.WriteString("rz(")
+			writeAngle(&b, g.Lambda)
+			b.WriteString(") ")
+			writeOperands(&b, g.Qubits[:1])
 		case circuit.KindH, circuit.KindX, circuit.KindY, circuit.KindZ,
 			circuit.KindS, circuit.KindSdg, circuit.KindT, circuit.KindTdg:
-			fmt.Fprintf(&b, "%s q[%d];\n", g.Kind, g.Qubits[0])
+			b.WriteString(g.Kind.String())
+			b.WriteByte(' ')
+			writeOperands(&b, g.Qubits[:1])
 		case circuit.KindCNOT:
-			fmt.Fprintf(&b, "cx q[%d],q[%d];\n", g.Qubits[0], g.Qubits[1])
+			b.WriteString("cx ")
+			writeOperands(&b, g.Qubits[:2])
 		case circuit.KindSWAP:
-			fmt.Fprintf(&b, "swap q[%d],q[%d];\n", g.Qubits[0], g.Qubits[1])
+			b.WriteString("swap ")
+			writeOperands(&b, g.Qubits[:2])
 		case circuit.KindMCT:
 			switch len(g.Qubits) {
 			case 1:
-				fmt.Fprintf(&b, "x q[%d];\n", g.Qubits[0])
+				b.WriteString("x ")
 			case 2:
-				fmt.Fprintf(&b, "cx q[%d],q[%d];\n", g.Qubits[0], g.Qubits[1])
+				b.WriteString("cx ")
 			case 3:
-				fmt.Fprintf(&b, "ccx q[%d],q[%d],q[%d];\n", g.Qubits[0], g.Qubits[1], g.Qubits[2])
+				b.WriteString("ccx ")
 			default:
 				return "", fmt.Errorf("qasm: gate %d: MCT with %d controls has no QASM form; decompose first",
 					i, len(g.Qubits)-1)
 			}
+			writeOperands(&b, g.Qubits)
 		default:
 			return "", fmt.Errorf("qasm: gate %d: unsupported kind %s", i, g.Kind)
 		}
@@ -53,7 +72,22 @@ func Write(c *circuit.Circuit) (string, error) {
 	return b.String(), nil
 }
 
-// angle renders a float with the shortest representation that round-trips.
-func angle(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// writeOperands writes "q[a],q[b];\n" for the given qubits.
+func writeOperands(b *strings.Builder, qs []int) {
+	for k, q := range qs {
+		if k > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString("q[")
+		b.WriteString(strconv.Itoa(q))
+		b.WriteByte(']')
+	}
+	b.WriteString(";\n")
+}
+
+// writeAngle writes a float with the shortest representation that
+// round-trips.
+func writeAngle(b *strings.Builder, v float64) {
+	var buf [32]byte
+	b.Write(strconv.AppendFloat(buf[:0], v, 'g', -1, 64))
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -9,8 +11,9 @@ import (
 )
 
 // refApply is the per-gate simulator the compiled form replaced, kept as
-// the reference: it validates the gate, recomputes its matrix, and scans
-// every amplitude index with a bit test.
+// the reference: it validates the gate, takes its matrix from gateMatrix
+// as Compile does, scans every amplitude index with a bit test and applies
+// the generic 2×2 product to every pair, whatever the matrix's shape.
 func refApply(amps []complex128, n int, g circuit.Gate) error {
 	if err := g.Validate(n); err != nil {
 		return err
@@ -38,12 +41,11 @@ func refApply(amps []complex128, n int, g circuit.Gate) error {
 		tb := 1 << uint(g.Qubits[len(g.Qubits)-1])
 		swapWhere(cmask|tb, cmask, tb)
 	default:
-		u, ok := g.AsU()
+		m, ok := gateMatrix(g)
 		if !ok {
 			return fmt.Errorf("sim: unsupported gate %s", g)
 		}
-		m := uMatrix(u.Theta, u.Phi, u.Lambda)
-		bit := 1 << uint(u.Qubits[0])
+		bit := 1 << uint(g.Qubits[0])
 		for i := range amps {
 			if i&bit != 0 {
 				continue
@@ -80,7 +82,8 @@ func randomGate(rng *rand.Rand, n int) circuit.Gate {
 // TestCompiledMatchesPerGate runs random circuits over every gate kind
 // through Run (one compiled program), Exec of a program reused across
 // inputs, and Apply, and requires amplitudes == to the per-gate reference
-// on every basis input: the compiled loops reorder no arithmetic.
+// on every basis input: the shape kernels drop only products with an exact
+// 0 or 1 entry and reorder no arithmetic.
 func TestCompiledMatchesPerGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	kinds := map[circuit.Kind]bool{}
@@ -175,5 +178,51 @@ func TestCompiledErrors(t *testing.T) {
 	if _, err := Compile(circuit.New(5).AddH(4), 2); err == nil ||
 		err.Error() != "sim: circuit needs 5 qubits, state has 2" {
 		t.Errorf("oversized circuit: %v", err)
+	}
+}
+
+// TestNamedGateMatrices checks every single-qubit matrix Compile uses,
+// the exact table's included, against uMatrix of the gate's U form, and
+// that Compile gives each gate the kernel its matrix's shape calls for.
+func TestNamedGateMatrices(t *testing.T) {
+	cases := []struct {
+		g    circuit.Gate
+		want kernel
+	}{
+		{circuit.H(0), kReal},
+		{circuit.X(0), kSwap},
+		{circuit.Y(0), kGeneral},
+		{circuit.Z(0), kPhase},
+		{circuit.S(0), kPhase},
+		{circuit.Sdg(0), kPhase},
+		{circuit.T(0), kPhase},
+		{circuit.Tdg(0), kPhase},
+		{circuit.Rz(0, 0.3), kPhase},
+		{circuit.U(0, 0, 0.4, -1.2), kPhase},
+		{circuit.U(0, 0.5, 0, 0), kGeneral}, // real, but not of H's shape
+		{circuit.U(0, 0.5, 0.1, 0.2), kGeneral},
+		{circuit.U(0, math.Pi, 0, math.Pi), kGeneral}, // X as a U gate keeps uMatrix's residue
+	}
+	for _, tc := range cases {
+		m, ok := gateMatrix(tc.g)
+		if !ok {
+			t.Fatalf("no matrix for %v", tc.g)
+		}
+		u, _ := tc.g.AsU()
+		ref := uMatrix(u.Theta, u.Phi, u.Lambda)
+		for r := range m {
+			for c := range m[r] {
+				if d := cmplx.Abs(m[r][c] - ref[r][c]); d > 1e-15 {
+					t.Errorf("%v: entry (%d,%d) = %v, uMatrix %v (off by %g)", tc.g, r, c, m[r][c], ref[r][c], d)
+				}
+			}
+		}
+		o, err := compileGate(tc.g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.kernel != tc.want {
+			t.Errorf("%v compiles to kernel %d, want %d", tc.g, o.kernel, tc.want)
+		}
 	}
 }

@@ -67,6 +67,58 @@ func uMatrix(theta, phi, lambda float64) [2][2]complex128 {
 	}
 }
 
+// Exact matrices of the named gates whose U(θ,φ,λ) form uMatrix does not
+// evaluate exactly: cos(π/2) and e^{iπ} carry rounding residue, so X would
+// get 6.1e-17 on its diagonal and H and Y imaginary parts of about 1e-16.
+// The exact entries are what lets Compile give X the swap kernel and H
+// the real one. The other named kinds keep uMatrix of their U form,
+// computed once here.
+var (
+	matX   = [2][2]complex128{{0, 1}, {1, 0}}
+	matY   = [2][2]complex128{{0, -1i}, {1i, 0}}
+	matH   = [2][2]complex128{{math.Sqrt2 / 2, math.Sqrt2 / 2}, {math.Sqrt2 / 2, -math.Sqrt2 / 2}}
+	matZ   = namedU(circuit.KindZ)
+	matS   = namedU(circuit.KindS)
+	matSdg = namedU(circuit.KindSdg)
+	matT   = namedU(circuit.KindT)
+	matTdg = namedU(circuit.KindTdg)
+)
+
+// namedU returns uMatrix of the U form of a parameterless kind.
+func namedU(k circuit.Kind) [2][2]complex128 {
+	u, _ := circuit.Gate{Kind: k, Qubits: []int{0}}.AsU()
+	return uMatrix(u.Theta, u.Phi, u.Lambda)
+}
+
+// gateMatrix returns the 2×2 matrix of a single-qubit gate: the exact
+// matrix of X, Y and H, uMatrix of the U form of every other kind. ok is
+// false for gates that are not single-qubit.
+func gateMatrix(g circuit.Gate) (m [2][2]complex128, ok bool) {
+	switch g.Kind {
+	case circuit.KindX:
+		return matX, true
+	case circuit.KindY:
+		return matY, true
+	case circuit.KindH:
+		return matH, true
+	case circuit.KindZ:
+		return matZ, true
+	case circuit.KindS:
+		return matS, true
+	case circuit.KindSdg:
+		return matSdg, true
+	case circuit.KindT:
+		return matT, true
+	case circuit.KindTdg:
+		return matTdg, true
+	}
+	u, ok := g.AsU()
+	if !ok {
+		return m, false
+	}
+	return uMatrix(u.Theta, u.Phi, u.Lambda), true
+}
+
 // Program is a circuit compiled for an n-qubit state: every gate validated
 // and every single-qubit matrix computed once, so running it on many input
 // states repeats neither. Apply and Run compile too, so all simulation
@@ -76,14 +128,39 @@ type Program struct {
 	ops []op
 }
 
+// kernel names the amplitude loop of a compiled gate. Compile picks the
+// kernel of a single-qubit gate from the exact shape of its matrix. A
+// specialized kernel computes what the generic product
+// (a0, a1) ← (m00·a0 + m01·a1, m10·a0 + m11·a1) computes for that matrix:
+// it leaves out only products with an exact 0 or 1 entry and never
+// reassociates a sum, so every amplitude is == to the generic one (a
+// dropped x·0 term can only flip the sign of a zero).
+type kernel uint8
+
+const (
+	// kSwap exchanges the pair's amplitudes: CNOT, SWAP, MCT, and any
+	// single-qubit matrix [[0,1],[1,0]] (X).
+	kSwap kernel = iota
+	// kPhase multiplies a1 by m11: diagonal matrices with m00 = 1 (T, T†,
+	// S, S†, Z, Rz and U with θ = 0, which uMatrix makes exactly so).
+	kPhase
+	// kReal applies a real matrix [[r, t], [r, −t]] (H) to the real and
+	// imaginary parts of the pair separately. Its rows share the products
+	// r·a0 and t·a1: m10·a0 is the same product as m00·a0, and m11·a1 is
+	// the negation of m01·a1, exactly.
+	kReal
+	// kGeneral applies any other 2×2 matrix.
+	kGeneral
+)
+
 // op is one compiled gate. It acts on the amplitude pairs (i, i^flip) with
-// i = set|sub for every subset sub of the bits in free, and either applies
-// the 2×2 matrix u to each pair (a single-qubit gate; unitary set) or
-// exchanges the pair's amplitudes (CNOT, SWAP, MCT). The pairs are
+// i = set|sub for every subset sub of the bits in free, applying its
+// kernel to each pair. A single-qubit gate has set 0 and one bit in flip;
+// the multi-qubit gates (CNOT, SWAP, MCT) all use kSwap. The pairs are
 // enumerated directly, so the loops test no index bits.
 type op struct {
 	set, flip, free int
-	unitary         bool
+	kernel          kernel
 	u               [2][2]complex128
 }
 
@@ -125,12 +202,25 @@ func compileGate(g circuit.Gate, n int) (op, error) {
 		t := bit(g.Qubits[len(g.Qubits)-1])
 		return op{set: cmask, flip: t, free: all &^ (cmask | t)}, nil
 	}
-	u, ok := g.AsU()
+	u, ok := gateMatrix(g)
 	if !ok {
 		return op{}, fmt.Errorf("sim: unsupported gate %s", g)
 	}
-	q := bit(u.Qubits[0])
-	return op{flip: q, free: all &^ q, unitary: true, u: uMatrix(u.Theta, u.Phi, u.Lambda)}, nil
+	q := bit(g.Qubits[0])
+	return op{flip: q, free: all &^ q, kernel: shape(u), u: u}, nil
+}
+
+// shape picks the kernel of a single-qubit matrix from its exact entries.
+func shape(u [2][2]complex128) kernel {
+	switch {
+	case u[0][0] == 1 && u[0][1] == 0 && u[1][0] == 0:
+		return kPhase
+	case u[0][0] == 0 && u[0][1] == 1 && u[1][0] == 1 && u[1][1] == 0:
+		return kSwap
+	case imag(u[0][0]) == 0 && imag(u[0][1]) == 0 && u[1][0] == u[0][0] && u[1][1] == -u[0][1]:
+		return kReal
+	}
+	return kGeneral
 }
 
 // Exec applies a compiled program to the state. It panics if the program
@@ -144,30 +234,54 @@ func (s *State) Exec(p *Program) {
 	}
 }
 
-// exec applies one compiled gate. sub steps through the subsets of o.free
-// in increasing order ((sub − free) & free is the next one) and ends with
-// free itself.
+// exec applies one compiled gate. A multi-qubit gate's pairs are found by
+// stepping sub through the subsets of o.free in increasing order
+// ((sub − free) & free is the next one, ending with free itself). A
+// single-qubit gate's pairs are (i, i+flip) for the indices i with the
+// flip bit clear: the k-th of them is k with a zero bit inserted at flip.
 func (s *State) exec(o *op) {
 	a, set, flip, free := s.amps, o.set, o.flip, o.free
-	if o.unitary {
-		m00, m01, m10, m11 := o.u[0][0], o.u[0][1], o.u[1][0], o.u[1][1]
+	if set != 0 || flip&(flip-1) != 0 {
 		for sub := 0; ; sub = (sub - free) & free {
 			i := set | sub
 			j := i ^ flip
-			a0, a1 := a[i], a[j]
-			a[i] = m00*a0 + m01*a1
-			a[j] = m10*a0 + m11*a1
+			a[i], a[j] = a[j], a[i]
 			if sub == free {
 				return
 			}
 		}
 	}
-	for sub := 0; ; sub = (sub - free) & free {
-		i := set | sub
-		j := i ^ flip
-		a[i], a[j] = a[j], a[i]
-		if sub == free {
-			return
+	low, half := flip-1, len(a)>>1
+	switch m00, m01, m10, m11 := o.u[0][0], o.u[0][1], o.u[1][0], o.u[1][1]; o.kernel {
+	case kSwap:
+		for k := 0; k < half; k++ {
+			i := (k&^low)<<1 | k&low
+			a[i], a[i+flip] = a[i+flip], a[i]
+		}
+	case kPhase:
+		for k := 0; k < half; k++ {
+			j := (k&^low)<<1 | k&low | flip
+			a[j] = m11 * a[j]
+		}
+	case kReal:
+		r, t := real(m00), real(m01)
+		for k := 0; k < half; k++ {
+			i := (k&^low)<<1 | k&low
+			a0, a1 := a[i], a[i+flip]
+			// The conversions round each product on its own, as the
+			// generic product does: no platform may fuse one into the sum
+			// as an FMA.
+			x0, y0 := float64(r*real(a0)), float64(r*imag(a0))
+			x1, y1 := float64(t*real(a1)), float64(t*imag(a1))
+			a[i] = complex(x0+x1, y0+y1)
+			a[i+flip] = complex(x0-x1, y0-y1)
+		}
+	default:
+		for k := 0; k < half; k++ {
+			i := (k&^low)<<1 | k&low
+			a0, a1 := a[i], a[i+flip]
+			a[i] = m00*a0 + m01*a1
+			a[i+flip] = m10*a0 + m11*a1
 		}
 	}
 }

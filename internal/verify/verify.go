@@ -201,27 +201,30 @@ func Equivalent(original, mapped *circuit.Circuit, m int, initial, final perm.Ma
 	const eps = 1e-9
 	var phase complex128
 	exp := make([]complex128, 1<<uint(m))
+	// relocate moves the bits of a logical basis index to the physical
+	// qubits of a layout; finalAt holds it for every index under final.
+	relocate := func(x int, layout perm.Mapping) int {
+		y := 0
+		for j := 0; j < n; j++ {
+			if x>>uint(j)&1 == 1 {
+				y |= 1 << uint(layout[j])
+			}
+		}
+		return y
+	}
+	finalAt := make([]int, 1<<uint(n))
+	for x := range finalAt {
+		finalAt[x] = relocate(x, final)
+	}
 	for b := 0; b < 1<<uint(n); b++ {
 		orig.Reset(b)
 		orig.Exec(origProg)
-		idx := 0
-		for j := 0; j < n; j++ {
-			if b>>uint(j)&1 == 1 {
-				idx |= 1 << uint(initial[j])
-			}
-		}
-		mapState.Reset(idx)
+		mapState.Reset(relocate(b, initial))
 		mapState.Exec(mapProg)
 		// Build the expected state: original amplitudes relocated through
 		// the final layout, unused qubits |0⟩.
 		clear(exp)
-		for x := 0; x < 1<<uint(n); x++ {
-			y := 0
-			for j := 0; j < n; j++ {
-				if x>>uint(j)&1 == 1 {
-					y |= 1 << uint(final[j])
-				}
-			}
+		for x, y := range finalAt {
 			exp[y] = orig.Amplitude(x)
 		}
 		var ip complex128

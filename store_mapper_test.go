@@ -1,11 +1,16 @@
 package qxmap
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/circuit"
+	"repro/internal/exact"
+	"repro/internal/portfolio"
 )
 
 // TestMapperStorePersistence is the restart-survival acceptance test: a
@@ -74,6 +79,69 @@ func TestMapperStorePersistence(t *testing.T) {
 	}
 	if !third.CacheHit || third.CacheTier != "memory" {
 		t.Fatalf("third map = hit=%v tier=%q, want memory hit", third.CacheHit, third.CacheTier)
+	}
+}
+
+// TestMapperStoreTamperedRecord rewrites a stored record so that its last
+// gate names a frame the solution lacks (GateFrame entry 99), the way a
+// corrupted record that still decodes would look. Such a record used to
+// decode and then panic in Result.Ops on every request for the instance,
+// which was never re-solved. Now it reads as a miss: the next request
+// solves and overwrites it, and the one after that hits.
+func TestMapperStoreTamperedRecord(t *testing.T) {
+	dir := t.TempDir()
+	c, a := Figure1a(), QX4()
+	ctx := context.Background()
+	m1, err := NewMapper(WithStore(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := m1.Map(ctx, c, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := circuit.ExtractSkeleton(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := portfolio.StoreKey(portfolio.Fingerprint(sk, a, exact.Options{}))
+	data, ok, err := m1.Store().Get(key)
+	if err != nil || !ok {
+		t.Fatalf("stored record: ok=%v err=%v", ok, err)
+	}
+	r, err := portfolio.DecodeResult(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Solution.GateFrame[len(r.Solution.GateFrame)-1] = 99
+	tampered, err := portfolio.EncodeResult(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Store().Put(key, tampered); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := NewMapper(WithStore(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	for i, tier := range []string{"", "memory"} {
+		res, err := m2.Map(ctx, c, a)
+		if err != nil {
+			t.Fatalf("request %d after tampering: %v", i+1, err)
+		}
+		if res.CacheTier != tier || res.Cost != first.Cost {
+			t.Fatalf("request %d after tampering: tier %q cost %d, want tier %q cost %d",
+				i+1, res.CacheTier, res.Cost, tier, first.Cost)
+		}
+	}
+	if data, _, err := m2.Store().Get(key); err != nil || bytes.Equal(data, tampered) {
+		t.Fatalf("tampered record not overwritten (err %v)", err)
 	}
 }
 
