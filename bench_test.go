@@ -384,34 +384,6 @@ func BenchmarkTable1Sabre(b *testing.B) {
 	b.ReportMetric(float64(total), "added-gates")
 }
 
-// BenchmarkAblationParallelSubsets compares sequential and concurrent
-// solving of the §4.1 subset instances.
-func BenchmarkAblationParallelSubsets(b *testing.B) {
-	bm, err := revlib.SuiteByName("3_17_13")
-	if err != nil {
-		b.Fatal(err)
-	}
-	sk, err := circuit.ExtractSkeleton(bm.Circuit)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := arch.QX4()
-	for _, par := range []bool{false, true} {
-		name := "sequential"
-		if par {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := exact.Solve(context.Background(), sk, a, exact.Options{
-					Engine: exact.EngineDP, UseSubsets: true, Parallel: par}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationPeephole measures post-mapping peephole optimization on
 // a heuristic-mapped circuit (which carries more removable junk than the
 // tight exact mappings).

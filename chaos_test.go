@@ -123,43 +123,57 @@ func TestChaosPipelinePanicContained(t *testing.T) {
 	}
 }
 
-// TestChaosSATWorkerPanicFullStack: a SAT portfolio clone panicking
-// mid-solve, injected below four layers of API (pool → exact → solver →
-// pipeline), must cost nothing observable at the top: the Map call
-// returns the verified minimal mapping at the reference cost.
-func TestChaosSATWorkerPanicFullStack(t *testing.T) {
-	opts := Options{Method: MethodExact, Engine: EngineSAT, SATThreads: 4}
-	clean, err := func() (*Result, error) {
-		m, err := NewMapper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Close()
-		return m.MapWith(context.Background(), Figure1a(), QX4(), opts)
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestChaosSATPanicFullStack: a panic inside the CDCL solver, injected at
+// the "sat.solve" point below four layers of API (sat → exact → solver →
+// pipeline), must fail only the Map call it hit, with an error carrying
+// the panic message, and leave the Mapper serving: its next call maps at
+// the reference cost. Plain exact is caught by SolveSAT's recover
+// boundary, exact-subsets by the shared §4.1 fan-out's.
+func TestChaosSATPanicFullStack(t *testing.T) {
+	for method, boundary := range map[Method]string{
+		MethodExact:        "SAT engine panic",
+		MethodExactSubsets: "shared subset fan-out panic",
+	} {
+		t.Run(method.String(), func(t *testing.T) {
+			opts := Options{Method: method, Engine: EngineSAT}
+			clean, err := func() (*Result, error) {
+				m, err := NewMapper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Close()
+				return m.MapWith(context.Background(), Figure1a(), QX4(), opts)
+			}()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	m, err := NewMapper()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	deactivate := faultinject.Activate(1, faultinject.Plan{
-		"sat.pool.worker.2": {PanicMsg: "chaos: clone dies"},
-	})
-	defer deactivate()
+			m, err := NewMapper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			deactivate := faultinject.Activate(1, faultinject.Plan{
+				"sat.solve": {PanicMsg: "chaos: solver dies", Limit: 1},
+			})
+			_, err = m.MapWith(context.Background(), Figure1a(), QX4(), opts)
+			fired := faultinject.Fired("sat.solve")
+			deactivate()
+			if fired != 1 {
+				t.Fatalf("sat.solve fired %d times, want 1", fired)
+			}
+			if err == nil || !strings.Contains(err.Error(), "chaos: solver dies") || !strings.Contains(err.Error(), boundary) {
+				t.Fatalf("panicked solve returned err = %v, want the panic value as a %q error", err, boundary)
+			}
 
-	res, err := m.MapWith(context.Background(), Figure1a(), QX4(), opts)
-	if err != nil {
-		t.Fatalf("worker panic leaked to the caller: %v", err)
-	}
-	if res.Cost != clean.Cost {
-		t.Errorf("cost %d with a dead clone, reference %d", res.Cost, clean.Cost)
-	}
-	if !res.Minimal {
-		t.Error("minimality proof lost to a clone panic (survivors should have finished it)")
+			res, err := m.MapWith(context.Background(), Figure1a(), QX4(), opts)
+			if err != nil {
+				t.Fatalf("mapper unusable after a contained SAT panic: %v", err)
+			}
+			if res.Cost != clean.Cost || res.Minimal != clean.Minimal {
+				t.Errorf("post-panic cost %d (minimal %v), reference %d (minimal %v)", res.Cost, res.Minimal, clean.Cost, clean.Minimal)
+			}
+		})
 	}
 }
 

@@ -10,9 +10,9 @@
 // (costs, encode/probe/conflict counters, solve times) on stdout, and
 // -baseline compares the run against a committed snapshot, failing on an
 // encode-count regression (sat_encodes ≠ 1), a bound-probe count above the
-// recorded baseline, a cost change, a lost minimality proof, or a
-// single-thread row's SAT conflict count differing from the recorded one
-// (that search is deterministic) — the CI bench smoke gate.
+// recorded baseline, a cost change, a lost minimality proof, or a SAT
+// conflict count differing from the recorded one (the search is
+// deterministic) — the CI bench smoke gate.
 //
 // Usage:
 //
@@ -21,7 +21,7 @@
 //	        [-parallel] [-workers 8] [-lower-bound on|off]
 //	        [-cost-model paper|swap=<n>,h=<n>] [-calibration cal.json]
 //	qxbench -batch exact [-workers 8] [-job-timeout 10s] [-portfolio]
-//	        [-sat-binary] [-sat-threads 4] [-json] [-baseline BENCH_5.json]
+//	        [-sat-binary] [-json] [-baseline BENCH_6.json]
 //	        [-probe-budget BENCH_6.json]
 //
 // -probe-budget additionally caps the run's TOTAL bound probes at another
@@ -68,7 +68,6 @@ func main() {
 	batchMethod := flag.String("batch", "", "map the suite through Mapper.MapBatch with this method ("+strings.Join(qxmap.Methods(), ", ")+") instead of running Table 1")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline in -batch mode (0 = none)")
 	satBinary := flag.Bool("sat-binary", false, "binary bound search instead of linear descent (-batch mode, SAT engine)")
-	satThreads := flag.Int("sat-threads", 1, "clause-sharing SAT portfolio width (capped at GOMAXPROCS); >1 trades run-to-run witness determinism for parallel speed")
 	lowerBound := flag.String("lower-bound", "on", "admissible lower-bound seeding of the SAT descent: on or off")
 	jsonOut := flag.Bool("json", false, "emit a stable JSON perf snapshot of the batch on stdout (-batch mode)")
 	baseline := flag.String("baseline", "", "compare the batch against this committed perf snapshot and fail on encode/probe/cost regressions (-batch mode)")
@@ -132,7 +131,6 @@ func main() {
 			portfolio:    *portfolio,
 			ladder:       *ladder,
 			satBinary:    *satBinary,
-			satThreads:   *satThreads,
 			noLowerBound: noLowerBound,
 			runs:         *runs,
 			names:        *names,
@@ -155,7 +153,6 @@ func main() {
 		Workers:       *workers,
 		Portfolio:     *portfolio,
 		NoLowerBound:  noLowerBound,
-		SATThreads:    *satThreads,
 	}
 	if *names != "" {
 		cfg.Names = strings.Split(*names, ",")
@@ -205,7 +202,6 @@ type batchConfig struct {
 	portfolio    bool
 	ladder       bool
 	satBinary    bool
-	satThreads   int
 	noLowerBound bool
 	runs         int
 	names        string
@@ -286,7 +282,6 @@ func runBatch(ctx context.Context, a *arch.Arch, cfg batchConfig) {
 				Portfolio:        cfg.portfolio,
 				Ladder:           cfg.ladder,
 				SATBinaryDescent: cfg.satBinary,
-				SATThreads:       cfg.satThreads,
 				SATNoLowerBound:  cfg.noLowerBound,
 				HeuristicRuns:    cfg.runs,
 				Seed:             1,
@@ -374,11 +369,10 @@ func runBatch(ctx context.Context, a *arch.Arch, cfg batchConfig) {
 // report sat_encodes == 1 per solved instance (the incremental-descent
 // invariant for the plain exact method), a bound-probe count no higher
 // than the baseline's, an identical cost, and no lost minimality proof (a
-// row the baseline proved minimal must stay proven). A row that ran with
-// sat_threads 1, as its baseline row did, must also reproduce the recorded
-// sat_conflicts exactly: the single-thread search is deterministic, so any
-// other count means the search changed, and a change that does so on
-// purpose commits a new snapshot with it.
+// row the baseline proved minimal must stay proven). Every row must also
+// reproduce the recorded sat_conflicts exactly: the search is
+// deterministic, so any other count means the search changed, and a change
+// that does so on purpose commits a new snapshot with it.
 func compareBaseline(snap batchSnapshot, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -409,8 +403,8 @@ func compareBaseline(snap batchSnapshot, path string) error {
 		if r.Cost != b.Cost {
 			return fmt.Errorf("baseline regression: %s cost %d, baseline %d", b.Name, r.Cost, b.Cost)
 		}
-		if r.Stats.SATThreads == 1 && b.Stats.SATThreads == 1 && r.Stats.SATConflicts != b.Stats.SATConflicts {
-			return fmt.Errorf("baseline regression: %s spent %d SAT conflicts, baseline %d (the single-thread search changed)", b.Name, r.Stats.SATConflicts, b.Stats.SATConflicts)
+		if r.Stats.SATConflicts != b.Stats.SATConflicts {
+			return fmt.Errorf("baseline regression: %s spent %d SAT conflicts, baseline %d (the search changed)", b.Name, r.Stats.SATConflicts, b.Stats.SATConflicts)
 		}
 		if b.Minimal && !r.Minimal {
 			return fmt.Errorf("baseline regression: %s lost its minimality proof (baseline proved minimal)", b.Name)

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	qxmap [-arch ibmqx4] [-method exact] [-strategy all|disjoint|odd|triangle]
-//	      [-engine sat|dp] [-sat-binary] [-sat-threads 4] [-portfolio] [-timeout 30s]
+//	      [-engine sat|dp] [-sat-binary] [-portfolio] [-timeout 30s]
 //	      [-cost-model paper|swap=<n>,h=<n>] [-calibration cal.json]
 //	      [-runs 5] [-render] [-stats] [-json] [-o out.qasm] input.qasm
 //
@@ -47,7 +47,6 @@ func main() {
 	strategyName := flag.String("strategy", "", "permutation-point restriction (paper §4.2) for exact mapping: "+strings.Join(exact.Strategies(), ", ")+" (selects the matching Table-1 method, §4.1 subsets included; only valid with -method exact)")
 	engineName := flag.String("engine", "sat", "exact engine: sat (paper methodology) or dp")
 	satBinary := flag.Bool("sat-binary", false, "binary bound search instead of linear descent (SAT engine)")
-	satThreads := flag.Int("sat-threads", 1, "clause-sharing SAT portfolio width (capped at GOMAXPROCS); >1 trades run-to-run witness determinism for parallel speed")
 	lowerBound := flag.String("lower-bound", "on", "admissible lower-bound seeding of the SAT descent: on or off")
 	runs := flag.Int("runs", 5, "heuristic runs (method=heuristic)")
 	seed := flag.Int64("seed", 1, "heuristic random seed")
@@ -106,7 +105,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := qxmap.Options{Method: method, HeuristicRuns: *runs, Seed: *seed, Optimize: *optimize, Portfolio: *portfolio, Ladder: *ladder, SATBinaryDescent: *satBinary, SATThreads: *satThreads}
+	opts := qxmap.Options{Method: method, HeuristicRuns: *runs, Seed: *seed, Optimize: *optimize, Portfolio: *portfolio, Ladder: *ladder, SATBinaryDescent: *satBinary}
 	switch *lowerBound {
 	case "on":
 	case "off":
@@ -182,10 +181,6 @@ func main() {
 		if s.SubsetsPruned > 0 || s.OrbitHits > 0 || s.CoreFamilyRefutations > 0 {
 			fmt.Fprintf(os.Stderr, "subsets: pruned=%d, core-family-refutations=%d, orbit-hits=%d\n",
 				s.SubsetsPruned, s.CoreFamilyRefutations, s.OrbitHits)
-		}
-		if s.SATThreads > 1 {
-			fmt.Fprintf(os.Stderr, "portfolio: sat-threads=%d, shared-clauses=%d\n",
-				s.SATThreads, s.SharedClauses)
 		}
 	}
 	if *doRender {

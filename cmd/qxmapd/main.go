@@ -6,7 +6,7 @@
 //
 //	qxmapd [-addr :8080] [-workers 0] [-cache 0] [-portfolio] [-ladder]
 //	       [-timeout 60s] [-max-body 8388608] [-lower-bound on|off]
-//	       [-sat-threads 4] [-cost-model paper|swap=<n>,h=<n>]
+//	       [-cost-model paper|swap=<n>,h=<n>]
 //	       [-calibration cal.json] [-store /var/lib/qxmapd] [-store-sync]
 //	       [-tenant-rps 0] [-tenant-burst 10]
 //	       [-tenant-quota 0] [-tenant-quota-window 1m]
@@ -109,7 +109,6 @@ func main() {
 	maxBody := flag.Int64("max-body", 8<<20, "maximum request body size in bytes")
 	maxJobs := flag.Int("max-jobs", 1024, "async job records retained for polling (oldest finished evicted beyond this)")
 	lowerBound := flag.String("lower-bound", "on", "admissible lower-bound seeding of the SAT descent: on or off")
-	satThreads := flag.Int("sat-threads", 1, "clause-sharing SAT portfolio width per solve (capped at GOMAXPROCS); >1 trades witness determinism for parallel speed")
 	costModel := flag.String("cost-model", "", "default cost model: paper (default 7/4) or swap=<n>,h=<n> for uniform rescaling")
 	calibration := flag.String("calibration", "", "calibration JSON file with per-edge weights or error rates (overrides -cost-model)")
 	storeDir := flag.String("store", "", "directory of the persistent result store (empty = in-memory caching only)")
@@ -153,7 +152,6 @@ func main() {
 		maxBody:      *maxBody,
 		maxJobs:      *maxJobs,
 		noLowerBound: noLowerBound,
-		satThreads:   *satThreads,
 		storeDir:     *storeDir,
 		storeSync:    *storeSync,
 		tenantRPS:    *tenantRPS,

@@ -44,9 +44,6 @@ type serverConfig struct {
 	// and running jobs are never evicted (they are bounded by the
 	// scheduler's queue depth plus the worker count).
 	maxJobs int
-	// satThreads configures the SAT engine's clause-sharing portfolio
-	// width for every solve (-sat-threads; ≤ 1 = single solver).
-	satThreads int
 	// noLowerBound disables the SAT engine's admissible lower-bound
 	// seeding for every request served by this instance (the
 	// -lower-bound=off escape hatch).
@@ -111,7 +108,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		qxmap.WithLadder(cfg.ladder),
 		qxmap.WithCostModel(cfg.costModel),
 		qxmap.WithLowerBound(!cfg.noLowerBound),
-		qxmap.WithSATThreads(cfg.satThreads),
 		// Bounds async jobs too: the mapper applies this at run start to
 		// any job context that carries no deadline of its own, so a stuck
 		// solve cannot pin a scheduler worker forever. Synchronous

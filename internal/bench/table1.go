@@ -89,9 +89,6 @@ type Config struct {
 	// NoLowerBound disables the SAT engine's admissible lower-bound
 	// seeding (the -lower-bound=off escape hatch of cmd/qxbench).
 	NoLowerBound bool
-	// SATThreads, when > 1, solves every SAT instance with a clause-sharing
-	// portfolio of that many goroutine workers (cmd/qxbench -sat-threads).
-	SATThreads int
 
 	// cache is the portfolio memo shared by every row of one run.
 	cache *portfolio.Cache
@@ -205,7 +202,6 @@ func RunRow(ctx context.Context, b revlib.Benchmark, cfg Config) (Row, error) {
 	exactCfg := func(name string) (solver.Config, error) {
 		scfg := solver.Config{Engine: cfg.Engine}
 		scfg.SAT.NoLowerBound = cfg.NoLowerBound
-		scfg.SAT.Threads = cfg.SATThreads
 		if cfg.Portfolio {
 			scfg.Portfolio = true
 			scfg.Cache = cfg.cache

@@ -187,9 +187,11 @@ func (g Gate) Controls() []int {
 	panic("circuit: Controls on gate kind " + g.Kind.String())
 }
 
-// Validate checks structural well-formedness of the gate against a circuit
-// with numQubits qubits: correct arity for the kind, all qubit indices in
-// range and pairwise distinct.
+// Validate checks well-formedness of the gate against a circuit with
+// numQubits qubits: correct arity for the kind, all qubit indices in range
+// and pairwise distinct, and finite angles (a NaN or infinite angle
+// simulates to NaN amplitudes, which no equivalence check can compare, and
+// QASM cannot express it).
 func (g Gate) Validate(numQubits int) error {
 	if !g.Kind.Valid() {
 		return fmt.Errorf("circuit: invalid gate kind %d", int(g.Kind))
@@ -216,6 +218,11 @@ func (g Gate) Validate(numQubits int) error {
 		}
 		if slices.Contains(g.Qubits[:k], q) {
 			return fmt.Errorf("circuit: duplicate qubit %d in %s gate", q, g.Kind)
+		}
+	}
+	for _, a := range [3]float64{g.Theta, g.Phi, g.Lambda} {
+		if math.IsNaN(a) || math.IsInf(a, 0) {
+			return fmt.Errorf("circuit: non-finite angle %g in %s gate", a, g.Kind)
 		}
 	}
 	return nil

@@ -123,6 +123,12 @@ func TestGateValidate(t *testing.T) {
 		{"range before repeat", MCT([]int{0, 7, 0}, 0), 3, "circuit: qubit 7 out of range [0,3)"},
 		{"later repeat", MCT([]int{2, 1, 0, 1}, 2), 3, "circuit: duplicate qubit 1 in mct gate"},
 		{"range on first copy", MCT([]int{4, 4}, 1), 3, "circuit: qubit 4 out of range [0,3)"},
+		// Angles must be finite; the structural checks come first.
+		{"infinite theta", U(0, math.Inf(1), 0, 0), 1, "circuit: non-finite angle +Inf in u gate"},
+		{"nan phi", U(0, 0, math.NaN(), 0), 1, "circuit: non-finite angle NaN in u gate"},
+		{"negative infinite lambda", U(0, 0, 0, math.Inf(-1)), 1, "circuit: non-finite angle -Inf in u gate"},
+		{"range before angle", U(3, math.NaN(), 0, 0), 1, "circuit: qubit 3 out of range [0,1)"},
+		{"large finite angles", U(0, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64), 1, ""},
 	}
 	for _, tc := range cases {
 		got := ""

@@ -170,7 +170,7 @@ func TestSubsetFanoutExhaustionKeepsIncumbent(t *testing.T) {
 	sk := randomSkeleton(11, 4, 14)
 
 	start := time.Now()
-	ref, err := Solve(bg, sk, a, Options{Engine: EngineSAT, UseSubsets: true, Parallel: true})
+	ref, err := Solve(bg, sk, a, Options{Engine: EngineSAT, UseSubsets: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +183,7 @@ func TestSubsetFanoutExhaustionKeepsIncumbent(t *testing.T) {
 			break
 		}
 		ctx, cancel := context.WithTimeout(bg, d)
-		r, err := Solve(ctx, sk, a, Options{Engine: EngineSAT, UseSubsets: true, Parallel: true,
-			SAT: SATOptions{Anytime: true}})
+		r, err := Solve(ctx, sk, a, Options{Engine: EngineSAT, UseSubsets: true, SAT: SATOptions{Anytime: true}})
 		cancel()
 		switch {
 		case err != nil:

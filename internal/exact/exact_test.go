@@ -492,28 +492,6 @@ func TestFixedInitialMappingErrors(t *testing.T) {
 	}
 }
 
-func TestParallelSubsetsMatchSequential(t *testing.T) {
-	a := arch.QX4()
-	for seed := int64(0); seed < 10; seed++ {
-		sk := randomSkeleton(seed, 3, 6)
-		seq, err := Solve(bg, sk, a, Options{Engine: EngineDP, UseSubsets: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := Solve(bg, sk, a, Options{Engine: EngineDP, UseSubsets: true, Parallel: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Cost != par.Cost {
-			t.Fatalf("seed %d: sequential %d vs parallel %d", seed, seq.Cost, par.Cost)
-		}
-		// The shared best-cost pruning makes the winning *subset* depend on
-		// completion order when several tie, but the cost is invariant and
-		// the returned plan must still be a valid realization.
-		applyOps(t, sk, a, par)
-	}
-}
-
 // TestTripleOracleAgreement cross-checks all three engines — SAT, DP and
 // the independent brute-force enumerator — on tiny random instances.
 func TestTripleOracleAgreement(t *testing.T) {
@@ -586,19 +564,16 @@ func TestSolveCancellation(t *testing.T) {
 	}
 }
 
-// TestSolveCancellationSubsets cancels the §4.1 fan-out (sequential and
-// parallel) before it starts; the fan-out must report the context error
-// rather than "no valid mapping".
+// TestSolveCancellationSubsets cancels the §4.1 fan-out before it starts;
+// the fan-out must report the context error rather than "no valid mapping".
 func TestSolveCancellationSubsets(t *testing.T) {
 	a := arch.QX5()
 	sk := randomSkeleton(3, 4, 12)
-	for _, parallel := range []bool{false, true} {
-		ctx, cancel := context.WithCancel(bg)
-		cancel()
-		_, err := Solve(ctx, sk, a, Options{Engine: EngineDP, UseSubsets: true, Parallel: parallel})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallel=%v: err = %v, want context.Canceled", parallel, err)
-		}
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	_, err := Solve(ctx, sk, a, Options{Engine: EngineDP, UseSubsets: true})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
@@ -751,43 +726,37 @@ func TestBudgetTruncationReportsMinimality(t *testing.T) {
 
 // TestSubsetErrorPropagation is the §4.1 error-handling regression: a
 // solveOne failure that is NOT ErrUnsatisfiable — here an unknown engine,
-// and a conflict-budget exhaustion — must surface verbatim from both the
-// sequential and the parallel fan-out instead of being misreported as
-// "unsatisfiable on any connected subset".
+// and a conflict-budget exhaustion — must surface verbatim from the fan-out
+// instead of being misreported as "unsatisfiable on any connected subset".
 func TestSubsetErrorPropagation(t *testing.T) {
 	a := arch.QX5()
 	sk := randomSkeleton(3, 3, 6)
-	for _, parallel := range []bool{false, true} {
-		_, err := Solve(bg, sk, a, Options{Engine: Engine(99), UseSubsets: true, Parallel: parallel})
-		if err == nil || errors.Is(err, ErrUnsatisfiable) {
-			t.Fatalf("parallel=%v: unknown engine err = %v, want verbatim propagation", parallel, err)
-		}
-		if !strings.Contains(err.Error(), "unknown engine") {
-			t.Errorf("parallel=%v: err = %q, want the engine error verbatim", parallel, err)
-		}
+	_, err := Solve(bg, sk, a, Options{Engine: Engine(99), UseSubsets: true})
+	if err == nil || errors.Is(err, ErrUnsatisfiable) {
+		t.Fatalf("unknown engine err = %v, want verbatim propagation", err)
+	}
+	if !strings.Contains(err.Error(), "unknown engine") {
+		t.Errorf("err = %q, want the engine error verbatim", err)
 	}
 
 	// A budget so small no subset can even find a first model: the budget
 	// error must surface, not an unsatisfiability claim.
-	for _, parallel := range []bool{false, true} {
-		_, err := Solve(bg, sk, a, Options{Engine: EngineSAT, UseSubsets: true, Parallel: parallel,
-			SAT: SATOptions{MaxConflicts: 1}})
-		if err == nil {
-			t.Fatalf("parallel=%v: expected an error from the budgeted run", parallel)
-		}
-		if errors.Is(err, ErrUnsatisfiable) {
-			t.Errorf("parallel=%v: budget exhaustion misreported as unsatisfiable: %v", parallel, err)
-		}
-		if !strings.Contains(err.Error(), "budget") {
-			t.Errorf("parallel=%v: err = %q, want the budget error verbatim", parallel, err)
-		}
+	_, err = Solve(bg, sk, a, Options{Engine: EngineSAT, UseSubsets: true, SAT: SATOptions{MaxConflicts: 1}})
+	if err == nil {
+		t.Fatal("expected an error from the budgeted run")
+	}
+	if errors.Is(err, ErrUnsatisfiable) {
+		t.Errorf("budget exhaustion misreported as unsatisfiable: %v", err)
+	}
+	if !strings.Contains(err.Error(), "budget") {
+		t.Errorf("err = %q, want the budget error verbatim", err)
 	}
 }
 
-// TestSubsetSharedBoundPruning: the parallel §4.1 fan-out with the SAT
-// engine must agree with the DP oracle, aggregate its counters across the
-// solved subsets, and keep the minimality proof (retired subsets are proven
-// by their admissible lower bounds).
+// TestSubsetSharedBoundPruning: the §4.1 fan-out with the SAT engine must
+// agree with the DP oracle, aggregate its counters across the solved
+// subsets, and keep the minimality proof (retired subsets are proven by
+// their admissible lower bounds).
 func TestSubsetSharedBoundPruning(t *testing.T) {
 	a := arch.QX5()
 	for seed := int64(0); seed < 6; seed++ {
@@ -796,22 +765,20 @@ func TestSubsetSharedBoundPruning(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: dp: %v", seed, err)
 		}
-		for _, parallel := range []bool{false, true} {
-			st, err := Solve(bg, sk, a, Options{Engine: EngineSAT, UseSubsets: true, Parallel: parallel})
-			if err != nil {
-				t.Fatalf("seed %d parallel=%v: %v", seed, parallel, err)
-			}
-			if st.Cost != dp.Cost {
-				t.Errorf("seed %d parallel=%v: SAT=%d DP=%d", seed, parallel, st.Cost, dp.Cost)
-			}
-			if st.SATEncodes < 1 {
-				t.Errorf("seed %d parallel=%v: Encodes = %d, want ≥ 1", seed, parallel, st.SATEncodes)
-			}
-			if !st.Minimal {
-				t.Errorf("seed %d parallel=%v: subset run lost the minimality proof", seed, parallel)
-			}
-			applyOps(t, sk, a, st)
+		st, err := Solve(bg, sk, a, Options{Engine: EngineSAT, UseSubsets: true})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
+		if st.Cost != dp.Cost {
+			t.Errorf("seed %d: SAT=%d DP=%d", seed, st.Cost, dp.Cost)
+		}
+		if st.SATEncodes < 1 {
+			t.Errorf("seed %d: Encodes = %d, want ≥ 1", seed, st.SATEncodes)
+		}
+		if !st.Minimal {
+			t.Errorf("seed %d: subset run lost the minimality proof", seed)
+		}
+		applyOps(t, sk, a, st)
 	}
 }
 

@@ -52,13 +52,6 @@ type Counters struct {
 	// their coupling-graph automorphism orbit's representative instead of
 	// being re-proven (symmetric architectures only).
 	OrbitHits int `json:"orbit_hits"`
-	// SATThreads is the clause-sharing portfolio width the SAT engine
-	// solved with (1 for the plain deterministic solver).
-	SATThreads int `json:"sat_threads"`
-	// SharedClauses counts learnt clauses imported across the portfolio's
-	// workers (sat.Stats.SharedImports summed over all workers; 0 when
-	// SATThreads ≤ 1).
-	SharedClauses int64 `json:"shared_clauses"`
 }
 
 // Result is the outcome of an exact (or strategy-restricted) mapping run.

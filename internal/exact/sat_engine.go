@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/cnf"
@@ -56,65 +55,6 @@ type SATOptions struct {
 	// anytime is for deadlines, not for aborts. Off by default: a
 	// deadline expiry is then an error.
 	Anytime bool
-	// Threads, when > 1, runs every solver call as a clause-sharing
-	// portfolio of that many diversified goroutine workers over the one
-	// incremental encoding (sat.Pool), capped by the ThreadBudget so that
-	// workers × portfolio width never exceeds runtime.GOMAXPROCS (an
-	// oversubscribed portfolio only steals cycles from its own winner).
-	// The minimal cost and the minimality proof are unaffected, but the
-	// witness mapping may differ between runs — the default (≤ 1) keeps
-	// the fully deterministic single solver.
-	Threads int
-	// Budget caps the run's total parallelism. Workers is the number of
-	// concurrent solver lanes the CALLER runs (e.g. the DP fan-out's
-	// subset workers); SolveSAT multiplies its portfolio width into the
-	// same budget, so lanes × width ≤ GOMAXPROCS holds end to end instead
-	// of each layer claiming GOMAXPROCS independently. The zero value
-	// means one lane.
-	Budget ThreadBudget
-}
-
-// ThreadBudget is the process-wide parallelism budget shared by every layer
-// of a solve: subset/probe worker lanes × SAT portfolio width must not
-// exceed runtime.GOMAXPROCS. Each layer fills in its dimension and calls
-// Clamp; the portfolio width shrinks first (a narrower portfolio still
-// answers correctly), then the lane count.
-type ThreadBudget struct {
-	// Workers is the number of concurrent solver lanes (≥ 1 after Clamp).
-	Workers int
-	// Threads is the clause-sharing portfolio width per lane (≥ 1 after
-	// Clamp).
-	Threads int
-}
-
-// Clamp normalizes the budget so Workers ≥ 1, Threads ≥ 1 and
-// Workers × Threads ≤ runtime.GOMAXPROCS(0), shrinking Threads before
-// Workers.
-func (tb ThreadBudget) Clamp() ThreadBudget {
-	if tb.Workers < 1 {
-		tb.Workers = 1
-	}
-	if tb.Threads < 1 {
-		tb.Threads = 1
-	}
-	max := runtime.GOMAXPROCS(0)
-	if tb.Workers > max {
-		tb.Workers = max
-	}
-	for tb.Threads > 1 && tb.Workers*tb.Threads > max {
-		tb.Threads--
-	}
-	return tb
-}
-
-// satProber is the solving surface the bound descent needs; both the plain
-// *sat.Solver and the portfolio *sat.Pool implement it, so the descent,
-// core jumps and guard relaxation run unchanged on either.
-type satProber interface {
-	SolveContext(ctx context.Context, assumptions ...sat.Lit) sat.Status
-	UnsatFromAssumptions() bool
-	UnsatCore() []sat.Lit
-	Snapshot() sat.Stats
 }
 
 // boundGuards is the cost-guard surface the descent helpers need; both the
@@ -153,8 +93,8 @@ type boundGuards interface {
 // SATOptions.Anytime is set and an incumbent model exists, in which case a
 // deadline expiry returns that incumbent as a Degraded best-effort Result.
 func SolveSAT(ctx context.Context, p encoder.Problem, opts SATOptions) (res *Result, err error) {
-	// A solver or encoder bug must fail this one solve, not whatever
-	// goroutine pool the caller runs it on: panics become errors here.
+	// A solver or encoder bug must fail this one solve, not the worker
+	// goroutine the caller runs it on: panics become errors here.
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("exact: SAT engine panic: %v", r)
@@ -177,6 +117,7 @@ func SolveSAT(ctx context.Context, p encoder.Problem, opts SATOptions) (res *Res
 		Counters:   Counters{SATEncodes: 1, LowerBound: lb},
 	}
 	d := &descent{
+		solver: solver,
 		guards: enc,
 		res:    res,
 		opts:   opts,
@@ -186,7 +127,7 @@ func SolveSAT(ctx context.Context, p encoder.Problem, opts SATOptions) (res *Res
 			return sol, -1, err
 		},
 	}
-	best, _, err := d.run(ctx, solver, opts.Threads)
+	best, _, err := d.run(ctx)
 	// Failures past this point still return the Result with the run's
 	// Counters; only a nil error carries a Solution.
 	if err != nil {
@@ -208,7 +149,7 @@ func SolveSAT(ctx context.Context, p encoder.Problem, opts SATOptions) (res *Res
 // refuted floor and C), plus, with a family, the guard of the members
 // still pending at that target; convergence proves the incumbent minimal.
 type descent struct {
-	prober satProber
+	solver *sat.Solver
 	guards boundGuards
 	res    *Result
 	opts   SATOptions
@@ -221,28 +162,10 @@ type descent struct {
 	fam    *family
 }
 
-// run widens solver into a clause-sharing portfolio of up to threads
-// workers, descends, and records the solver's counters on the result.
-func (d *descent) run(ctx context.Context, solver *sat.Solver, threads int) (*encoder.Solution, int, error) {
-	// Portfolio workers are CPU-bound; spawning more than the runtime can
-	// schedule in parallel is pure overhead (every worker burns cycles the
-	// winner needs), so the width is clamped into the shared ThreadBudget:
-	// the caller's concurrent lanes × this portfolio's width stays within
-	// GOMAXPROCS. Result.SATThreads reports the effective width.
-	budget := d.opts.Budget
-	budget.Threads = threads
-	d.res.SATThreads = budget.Clamp().Threads
-	d.prober = solver
-	if d.res.SATThreads > 1 {
-		// The pool clones the fully built encoding lazily at the first
-		// probe and installs the winning worker's model/core back into the
-		// master, so decoding and the guard bookkeeping stay untouched.
-		d.prober = sat.NewPool(solver, d.res.SATThreads)
-	}
+// run descends and records the solver's conflict count on the result.
+func (d *descent) run(ctx context.Context) (*encoder.Solution, int, error) {
 	best, idx, err := d.descend(ctx)
-	snap := d.prober.Snapshot()
-	d.res.SATConflicts = snap.Conflicts
-	d.res.SharedClauses = snap.SharedImports
+	d.res.SATConflicts = d.solver.Snapshot().Conflicts
 	return best, idx, err
 }
 
@@ -276,7 +199,7 @@ func (d *descent) descend(ctx context.Context) (*encoder.Solution, int, error) {
 			}
 			return nil, -1, ErrBudgetExhausted
 		}
-		if len(bounds) == 0 || !d.prober.UnsatFromAssumptions() {
+		if len(bounds) == 0 || !d.solver.UnsatFromAssumptions() {
 			d.res.Minimal = true // no mapping exists (on any member)
 			return nil, -1, nil
 		}
@@ -337,7 +260,7 @@ func (d *descent) probe(ctx context.Context, assume []sat.Lit, bounded bool) sat
 	if bounded {
 		d.res.BoundProbes++
 	}
-	return d.prober.SolveContext(ctx, assume...)
+	return d.solver.SolveContext(ctx, assume...)
 }
 
 // model decodes a Sat answer. With a family, the new incumbent also
@@ -390,7 +313,7 @@ func (d *descent) refutedBound(assumed []sat.Lit) int {
 		}
 	}
 	refuted := math.MaxInt
-	for _, g := range d.prober.UnsatCore() {
+	for _, g := range d.solver.UnsatCore() {
 		if b, ok := d.guards.GuardBound(g); ok && b < refuted {
 			refuted = b
 		}

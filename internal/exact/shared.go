@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/arch"
@@ -47,10 +46,6 @@ type subsetInstance struct {
 // jumps. The last model standing is the §4.1 optimum, with minimality
 // proven for every subset: probed families by UNSAT, retired ones by their
 // admissible bounds, orbit members by symmetry.
-//
-// Parallel does not multiply subset encodes: it widens the clause-sharing
-// portfolio (sat.Pool) over the one instance, i.e. bound-probe parallelism,
-// clamped into the ThreadBudget.
 func solveSubsetsShared(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, pb []bool, opts Options) (out *Result, err error) {
 	// One recover boundary for the whole shared fan-out: an encoder or
 	// descent bug fails this solve with an error instead of propagating.
@@ -96,15 +91,8 @@ func solveSubsetsShared(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch,
 		Engine:     EngineSAT.String(),
 		Counters:   Counters{SATEncodes: 1, LowerBound: minLb, OrbitHits: len(subsets) - len(orbits)},
 	}
-	d := &descent{guards: fam.menc, res: res, opts: opts.SAT, floor: minLb - 1, decode: fam.decode, fam: fam}
-	// Parallel means bound-probe parallelism here: one shared instance,
-	// portfolio width from the thread budget (the fan-out itself is a
-	// single lane).
-	threads := opts.SAT.Threads
-	if opts.Parallel && threads <= 1 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	best, idx, err := d.run(ctx, solver, threads)
+	d := &descent{solver: solver, guards: fam.menc, res: res, opts: opts.SAT, floor: minLb - 1, decode: fam.decode, fam: fam}
+	best, idx, err := d.run(ctx)
 	if err != nil {
 		return res, err
 	}

@@ -1,7 +1,6 @@
 package exact
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/arch"
@@ -64,32 +63,6 @@ func TestSharedSubsetsDifferentialTable1(t *testing.T) {
 			}
 			applyOps(t, sk, a, st)
 		}
-	}
-}
-
-// TestSharedSubsetsParallelParity: Parallel on the shared instance means
-// bound-probe parallelism — same single encode, same cost, valid ops.
-func TestSharedSubsetsParallelParity(t *testing.T) {
-	a := arch.QX4()
-	for name, sk := range table1Skeletons(t) {
-		seq, err := Solve(bg, sk, a, Options{Engine: EngineSAT, UseSubsets: true})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		par, err := Solve(bg, sk, a, Options{Engine: EngineSAT, UseSubsets: true, Parallel: true})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if seq.Cost != par.Cost {
-			t.Fatalf("%s: sequential %d vs parallel %d", name, seq.Cost, par.Cost)
-		}
-		if par.SATEncodes != 1 {
-			t.Errorf("%s: parallel shared fan-out encoded %d times, want 1", name, par.SATEncodes)
-		}
-		if !par.Minimal {
-			t.Errorf("%s: parallel shared run lost the minimality proof", name)
-		}
-		applyOps(t, sk, a, par)
 	}
 }
 
@@ -189,36 +162,5 @@ func TestSharedSubsetsAsymmetricNoOrbits(t *testing.T) {
 	}
 	if st.OrbitHits != 0 {
 		t.Errorf("OrbitHits = %d on an asymmetric architecture, want 0", st.OrbitHits)
-	}
-}
-
-// TestThreadBudgetClamp pins the unified budget arithmetic: lanes × width
-// never exceeds GOMAXPROCS (width shrinks first, lanes stay), and
-// degenerate inputs normalize to 1.
-func TestThreadBudgetClamp(t *testing.T) {
-	max := runtime.GOMAXPROCS(0)
-	if got := (ThreadBudget{}).Clamp(); got.Workers != 1 || got.Threads != 1 {
-		t.Errorf("zero budget clamps to %+v, want {1 1}", got)
-	}
-	for _, in := range []ThreadBudget{
-		{Workers: 0, Threads: 0},
-		{Workers: 1, Threads: 1 << 20},
-		{Workers: 1 << 20, Threads: 1 << 20},
-		{Workers: 4, Threads: 4},
-		{Workers: max, Threads: 2},
-	} {
-		got := in.Clamp()
-		if got.Workers < 1 || got.Threads < 1 {
-			t.Errorf("Clamp(%+v) = %+v: lanes and width must stay ≥ 1", in, got)
-		}
-		if got.Workers > max {
-			t.Errorf("Clamp(%+v) = %+v: lanes exceed GOMAXPROCS=%d", in, got, max)
-		}
-		if got.Threads > 1 && got.Workers*got.Threads > max {
-			t.Errorf("Clamp(%+v) = %+v: product exceeds GOMAXPROCS=%d", in, got, max)
-		}
-		if in.Workers >= 1 && in.Workers <= max && got.Workers != in.Workers {
-			t.Errorf("Clamp(%+v) = %+v: in-budget lane count must be preserved (width shrinks first)", in, got)
-		}
 	}
 }

@@ -4,10 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
@@ -74,15 +70,6 @@ type Options struct {
 	// (extension; incompatible with UseSubsets since the pin refers to the
 	// full architecture's physical indices).
 	InitialMapping []int
-	// Parallel widens the §4.1 fan-out within the ThreadBudget. With the
-	// SAT engine the fan-out runs on ONE shared incremental instance, so
-	// Parallel means bound-probe parallelism: the clause-sharing portfolio
-	// (sat.Pool) widens to the budget instead of subset-level encode
-	// multiplication. With the DP engine the orbit-representative
-	// instances are solved concurrently on a worker pool. The cost is
-	// identical to the sequential run; when several subsets tie, the
-	// witness mapping may differ.
-	Parallel bool
 }
 
 // Solve maps the skeleton to the architecture under the given options and
@@ -90,8 +77,9 @@ type Options struct {
 // or when no valid mapping exists (ErrUnsatisfiable). On a SAT-engine
 // failure the accompanying Result, when non-nil, carries only the run's
 // Counters — never a Solution. Cancelling the context aborts the run —
-// including every in-flight §4.1 subset instance — and returns an error
-// wrapping ctx.Err().
+// including a §4.1 fan-out between or inside its subset instances — and
+// returns an error wrapping ctx.Err(). A solve runs on the caller's
+// goroutine; concurrency belongs to the caller, one solve per request.
 func Solve(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opts Options) (*Result, error) {
 	if sk.Len() == 0 {
 		return nil, fmt.Errorf("exact: circuit has no CNOT gates; nothing to map")
@@ -112,26 +100,22 @@ func Solve(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, opts Options
 // solveSubsets runs the §4.1 physical-qubit subset optimization for the
 // non-SAT engines (the SAT engine routes to solveSubsetsShared, which fuses
 // the whole fan-out into one incremental instance): one orbit representative
-// per coupling-graph automorphism orbit is solved as an independent instance
-// on a worker pool, and the cheapest result wins. Orbit members beyond the
-// representative inherit its cost and proof (Result.OrbitHits) — an
-// automorphism of the directed coupling map carries any mapping on one
-// subset to an equal-cost mapping on the other.
-//
-// The workers share a best-cost-so-far bound (atomic): once a zero-cost
-// incumbent exists the remaining representatives are skipped outright
-// (Result.SubsetsPruned). The worker count comes from the ThreadBudget, so
-// subset lanes and any engine-internal parallelism share one GOMAXPROCS
-// budget instead of multiplying.
+// per coupling-graph automorphism orbit is solved as an independent
+// instance, in orbit order, and the cheapest result wins (the first on a
+// tie). Orbit members beyond the representative inherit its cost and proof
+// (Result.OrbitHits) — an automorphism of the directed coupling map carries
+// any mapping on one subset to an equal-cost mapping on the other. Once a
+// zero-cost incumbent exists the remaining representatives are skipped
+// outright (Result.SubsetsPruned).
 //
 // Error handling: ErrUnsatisfiable means "this subset admits no mapping —
 // try the others". A conflict-budget exhaustion before any model voids the
 // minimality proof but keeps the fan-out alive: an incumbent in hand is
 // returned as a best-effort result (Minimal false), and only when NO subset
 // yields a model does the budget error surface — never disguised as
-// unsatisfiability. Any other solveOne failure — an encode failure, an
-// unknown engine — is a real error: it cancels the remaining subsets and
-// surfaces verbatim.
+// unsatisfiability. Any other failure — an encode failure, an unknown
+// engine, a panic — is a real error: it stops the fan-out and surfaces
+// verbatim, after a context expiry, which takes precedence.
 func solveSubsets(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, pb []bool, opts Options) (*Result, error) {
 	start := time.Now()
 	subsets := a.ConnectedSubsets(sk.NumQubits)
@@ -139,93 +123,41 @@ func solveSubsets(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, pb []
 		return nil, fmt.Errorf("exact: %w: no connected subset of %d qubits in %s", ErrUnsatisfiable, sk.NumQubits, a)
 	}
 	orbits := arch.SubsetOrbits(subsets, a.Automorphisms(0))
-	orbitHits := len(subsets) - len(orbits)
-	reps := make([][]int, len(orbits))
-	for oi, orbit := range orbits {
-		reps[oi] = subsets[orbit[0]]
-	}
 
-	var best atomic.Int64
-	best.Store(math.MaxInt64)
-	var unproven atomic.Bool // a subset's budget ran dry: optimum unconfirmed
-	var subsetsPruned atomic.Int64
-	results := make([]*Result, len(reps))
-	errs := make([]error, len(reps))
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	solveSubset := func(i int) error {
-		if best.Load() == 0 {
-			subsetsPruned.Add(1)
-			return nil // a zero-cost incumbent cannot be beaten; skip
+	var (
+		win      *Result
+		minimal  = true // every solved instance proved its own optimum
+		unproven bool   // a subset's budget ran dry: optimum unconfirmed
+		pruned   int    // representatives skipped behind a zero-cost incumbent
+		failure  error  // the real error that stopped the fan-out
+	)
+	for i, orbit := range orbits {
+		if ctx.Err() != nil {
+			break
 		}
-		sub, back := a.Restrict(reps[i])
-		r, err := solveOne(runCtx, sk, sub, pb, opts)
-		if err != nil {
-			if errors.Is(err, ErrUnsatisfiable) {
-				// No mapping on this subset beats the incumbent (or exists
-				// at all); other subsets may still work.
-				return nil
-			}
-			if errors.Is(err, ErrBudgetExhausted) {
-				// The budget ran out before this subset produced any
-				// model. It might still have beaten the incumbent, so the
-				// minimality proof is voided — but an incumbent in hand
-				// remains a valid best-effort answer, matching the
-				// engine's own budget semantics; if NO subset yields a
-				// model the budget error surfaces after the loop.
-				unproven.Store(true)
-				return nil
-			}
-			return err
-		}
-		r.SubsetBack = back
-		results[i] = r
-		for {
-			cur := best.Load()
-			if int64(r.Cost) >= cur || best.CompareAndSwap(cur, int64(r.Cost)) {
-				return nil
-			}
-		}
-	}
-
-	workers := 1
-	if opts.Parallel {
-		// One budget across the fan-out: subset lanes × per-lane solver
-		// threads must fit in GOMAXPROCS.
-		workers = ThreadBudget{Workers: runtime.GOMAXPROCS(0), Threads: opts.SAT.Threads}.Clamp().Workers
-		if workers > len(reps) {
-			workers = len(reps)
-		}
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if runCtx.Err() != nil {
-					continue // drain after cancellation
-				}
-				if err := safeSolveSubset(solveSubset, i); err != nil {
-					errs[i] = err
-					cancel() // a real failure aborts the remaining subsets
-				}
-			}
-		}()
-	}
-	for i := range reps {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
-	var win *Result
-	minimal := true
-	for _, r := range results {
-		if r == nil {
+		if win != nil && win.Cost == 0 {
+			pruned++ // a zero-cost incumbent cannot be beaten; skip
 			continue
+		}
+		r, err := solveSubset(ctx, sk, a, subsets[orbit[0]], pb, opts, i)
+		if errors.Is(err, ErrUnsatisfiable) {
+			// No mapping on this subset beats the incumbent (or exists at
+			// all); other subsets may still work.
+			continue
+		}
+		if errors.Is(err, ErrBudgetExhausted) {
+			// The budget ran out before this subset produced any model. It
+			// might still have beaten the incumbent, so the minimality
+			// proof is voided — but an incumbent in hand remains a valid
+			// best-effort answer, matching the engine's own budget
+			// semantics; if NO subset yields a model the budget error
+			// surfaces after the loop.
+			unproven = true
+			continue
+		}
+		if err != nil {
+			failure = err
+			break
 		}
 		minimal = minimal && r.Minimal
 		if win == nil || r.Cost < win.Cost {
@@ -241,18 +173,15 @@ func solveSubsets(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, pb []
 		if !anytimeReturn(opts.SAT, win != nil, err) {
 			return nil, fmt.Errorf("exact: solve canceled: %w", err)
 		}
-		unproven.Store(true)
+		unproven = true
 	}
-	for _, err := range errs {
-		// Siblings cancelled by another subset's failure report context
-		// errors; the originating error is the one to surface.
-		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
+	// A context error from the interrupted subset was settled just above.
+	if failure != nil && !errors.Is(failure, context.Canceled) && !errors.Is(failure, context.DeadlineExceeded) {
+		return nil, failure
 	}
 
 	if win == nil {
-		if unproven.Load() {
+		if unproven {
 			// Every subset either had no mapping or hit the budget; a
 			// budget starvation must not masquerade as unsatisfiability.
 			return nil, ErrBudgetExhausted
@@ -263,10 +192,10 @@ func solveSubsets(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, pb []
 	// (orbit members are proven by their representative) and no subset's
 	// budget ran dry. A zero-cost winner is trivially optimal whatever
 	// happened elsewhere.
-	win.SubsetsPruned = int(subsetsPruned.Load())
-	win.OrbitHits = orbitHits
-	win.Minimal = win.Cost == 0 || (minimal && !unproven.Load())
-	if !win.Minimal && unproven.Load() {
+	win.SubsetsPruned = pruned
+	win.OrbitHits = len(subsets) - len(orbits)
+	win.Minimal = win.Cost == 0 || (minimal && !unproven)
+	if !win.Minimal && unproven {
 		// Exhaustion elsewhere in the family: the winner's mapping is valid,
 		// but an unattempted subset could in principle have been cheaper, so
 		// only the trivial gap is known.
@@ -276,16 +205,21 @@ func solveSubsets(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, pb []
 	return win, nil
 }
 
-// safeSolveSubset shields a fan-out worker lane from a panicking engine:
-// the panic becomes that subset's error (aborting the family like any other
-// real failure) instead of killing the worker goroutine and the process.
-func safeSolveSubset(solve func(int) error, i int) (err error) {
+// solveSubset solves the §4.1 instance restricted to the physical qubits
+// rep, the i-th orbit representative. A panicking engine becomes that
+// subset's error, stopping the fan-out like any other real failure,
+// instead of unwinding through the caller.
+func solveSubset(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, rep []int, pb []bool, opts Options, i int) (r *Result, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("exact: subset %d worker panic: %v", i, r)
+		if p := recover(); p != nil {
+			r, err = nil, fmt.Errorf("exact: subset %d panic: %v", i, p)
 		}
 	}()
-	return solve(i)
+	sub, back := a.Restrict(rep)
+	if r, err = solveOne(ctx, sk, sub, pb, opts); err == nil {
+		r.SubsetBack = back
+	}
+	return r, err
 }
 
 func solveOne(ctx context.Context, sk *circuit.Skeleton, a *arch.Arch, pb []bool, opts Options) (*Result, error) {

@@ -14,9 +14,8 @@ import (
 // Fingerprint returns a canonical hash of a mapping instance: the CNOT
 // skeleton, the architecture's coupling structure and cost model, and
 // every semantic option that influences the solution (strategy, §4.1
-// subsets, pinned initial mapping). Engine choice, parallelism and SAT
-// tuning are excluded: they change how the minimum is found, not what it
-// is. Two calls with equal fingerprints are guaranteed to have equal
+// subsets, pinned initial mapping). Engine choice and SAT tuning are
+// excluded: they change how the minimum is found, not what it is. Two calls with equal fingerprints are guaranteed to have equal
 // minimal cost, which makes the fingerprint a sound memoization key. The
 // cost model enters via its canonical byte form (units plus sorted
 // effective overrides), so two models pricing every edge identically

@@ -34,7 +34,7 @@ import (
 // Options configures a portfolio Solve.
 type Options struct {
 	// Exact carries the instance options: Engine, Strategy, UseSubsets,
-	// Parallel, InitialMapping and SAT tuning.
+	// InitialMapping and SAT tuning.
 	Exact exact.Options
 	// Seed seeds the ladder's heuristic rung.
 	Seed int64

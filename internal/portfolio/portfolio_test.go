@@ -256,8 +256,8 @@ func TestFingerprintDistinguishesInstances(t *testing.T) {
 			t.Errorf("%s change did not alter the fingerprint", what)
 		}
 	}
-	// Engine and parallelism do not affect the solution.
-	if got := Fingerprint(sk1, qx4, exact.Options{Engine: exact.EngineDP, Parallel: true}); got != base {
-		t.Error("engine/parallel options must not alter the fingerprint")
+	// The engine does not affect the solution.
+	if got := Fingerprint(sk1, qx4, exact.Options{Engine: exact.EngineDP}); got != base {
+		t.Error("the engine must not alter the fingerprint")
 	}
 }

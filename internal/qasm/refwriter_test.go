@@ -61,12 +61,13 @@ func refAngle(v float64) string {
 
 // TestWriteMatchesReference writes circuits with every gate kind, the MCT
 // forms, a name, wide registers and awkward angles, and requires Write's
-// bytes and errors to equal the reference writer's.
+// bytes and errors to equal the reference writer's. The angles are the
+// extreme finite ones: a circuit cannot hold a NaN or infinite angle.
 func TestWriteMatchesReference(t *testing.T) {
 	named := circuit.New(120)
 	named.SetName("alu-v0_27 / ünïcode")
 	for _, g := range []circuit.Gate{
-		circuit.U(0, math.Pi/2, -1e-300, math.Inf(1)), circuit.U(119, math.NaN(), 0, -0.0),
+		circuit.U(0, math.Pi/2, -1e-300, math.MaxFloat64), circuit.U(119, math.SmallestNonzeroFloat64, -math.MaxFloat64, -0.0),
 		circuit.Rz(3, 1e21), circuit.Rz(4, 123456789.125),
 		circuit.H(5), circuit.X(6), circuit.Y(7), circuit.Z(8), circuit.S(9),
 		circuit.Sdg(10), circuit.T(11), circuit.Tdg(100), circuit.CNOT(99, 100),

@@ -178,7 +178,7 @@ func (c *conflictCancelCtx) Err() error {
 }
 
 // TestSolveContextCancellationLatency: once the context reports expiry, the
-// solver must stop within Options.CtxPollConflicts conflicts — not merely at
+// solver must stop within ctxPollConflicts conflicts — not merely at
 // the next restart boundary, whose late-Luby budgets run thousands of
 // conflicts.
 func TestSolveContextCancellationLatency(t *testing.T) {
@@ -189,9 +189,8 @@ func TestSolveContextCancellationLatency(t *testing.T) {
 	if got := s.SolveContext(ctx); got != Unknown {
 		t.Fatalf("cancelled solve = %v, want Unknown", got)
 	}
-	poll := int64((Options{}).withDefaults().CtxPollConflicts)
-	if over := s.Snapshot().Conflicts - limit; over > poll {
-		t.Errorf("solver ran %d conflicts past cancellation, want ≤ %d", over, poll)
+	if over := s.Snapshot().Conflicts - limit; over > ctxPollConflicts {
+		t.Errorf("solver ran %d conflicts past cancellation, want ≤ %d", over, ctxPollConflicts)
 	}
 	if got := s.Snapshot().Conflicts; got < limit {
 		t.Fatalf("instance finished in %d conflicts; raise the hardness of the test instance", got)

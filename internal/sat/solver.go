@@ -4,6 +4,8 @@ import (
 	"context"
 	"slices"
 	"sort"
+
+	"repro/internal/faultinject"
 )
 
 // watcher pairs a watching clause with a blocker literal: if the blocker is
@@ -27,10 +29,6 @@ type Stats struct {
 	Subsumed int64
 	// ArenaGCs counts compacting garbage collections of the clause arena.
 	ArenaGCs int64
-	// SharedExports / SharedImports count clauses exchanged with portfolio
-	// peers (exports actually accepted by the channel, imports installed).
-	SharedExports int64
-	SharedImports int64
 	// LBDHist buckets learnt clauses by LBD at learn time:
 	// 1, 2, 3, 4–5, 6–9, 10+.
 	LBDHist [6]int64
@@ -64,7 +62,6 @@ func lbdBucket(lbd int) int {
 // compacts the slab once enough of it is tombstoned.
 type Solver struct {
 	opts Options
-	rng  xorshift64
 
 	ca      arena
 	clauses []ClauseRef // problem clauses
@@ -93,9 +90,8 @@ type Solver struct {
 	levelMark []int64
 	lbdStamp  int64
 
-	// Scratch slices reused by analyze (learntBuf, clearBuf) and by the
-	// clause intake (addBuf, for AddClause and addImported). The arena and
-	// the export hook copy whatever must outlive the call.
+	// Scratch slices reused by analyze (learntBuf, clearBuf) and by
+	// AddClause (addBuf). The arena copies whatever must outlive the call.
 	learntBuf []Lit
 	clearBuf  []Lit
 	addBuf    []Lit
@@ -112,21 +108,12 @@ type Solver struct {
 	failedAssumption Lit
 	unsatCore        []Lit
 
-	// Portfolio hooks (set by Pool, nil for a standalone solver): export
-	// offers a freshly learnt clause to peers and reports whether it was
-	// accepted; importLearnts returns peer clauses to install, called only
-	// at restart boundaries (decision level 0).
-	export        func(lits []Lit, lbd int) bool
-	importLearnts func() [][]Lit
-
 	stats Stats
 }
 
-// New returns an empty solver configured by opts (zero fields take the
-// documented defaults).
+// New returns an empty solver configured by opts.
 func New(opts Options) *Solver {
-	o := opts.withDefaults()
-	s := &Solver{opts: o, rng: newRng(o.Seed), varInc: 1, claInc: 1}
+	s := &Solver{opts: opts, varInc: 1, claInc: 1}
 	s.order = newVarHeap(&s.activity)
 	return s
 }
@@ -546,23 +533,11 @@ func (s *Solver) otfSubsume(confl ClauseRef, learnt []Lit) {
 	s.stats.Subsumed++
 }
 
-// shareMaxLBD / shareMaxSize gate portfolio clause export: only short,
-// low-glue learnts are worth a peer's propagation cycles.
-const (
-	shareMaxLBD  = 4
-	shareMaxSize = 30
-)
-
 // recordLearnt installs a learnt clause with the given LBD and enqueues its
 // asserting literal.
 func (s *Solver) recordLearnt(learnt []Lit, lbd int) {
 	s.stats.Learnt++
 	s.stats.LBDHist[lbdBucket(lbd)]++
-	if s.export != nil && lbd <= shareMaxLBD && len(learnt) <= shareMaxSize {
-		if s.export(append([]Lit(nil), learnt...), lbd) {
-			s.stats.SharedExports++
-		}
-	}
 	if len(learnt) == 1 {
 		s.enqueue(learnt[0], NilRef)
 		return
@@ -650,18 +625,9 @@ func (s *Solver) garbageCollect() {
 	s.stats.ArenaGCs++
 }
 
-// pickBranchVar selects the next decision variable: usually the activity
-// maximum, with an Options.RandomVarFreq chance of a uniformly random
-// unassigned variable (portfolio diversification).
+// pickBranchVar selects the next decision variable: the unassigned one of
+// highest activity.
 func (s *Solver) pickBranchVar() Var {
-	if s.opts.RandomVarFreq > 0 && s.rng.chance(s.opts.RandomVarFreq) {
-		for t := 0; t < 8; t++ {
-			v := Var(s.rng.intn(s.NumVars()))
-			if s.vals[v.Pos()] == lUndef {
-				return v
-			}
-		}
-	}
 	for !s.order.empty() {
 		v := s.order.pop()
 		if s.vals[v.Pos()] == lUndef {
@@ -669,20 +635,6 @@ func (s *Solver) pickBranchVar() Var {
 		}
 	}
 	return -1
-}
-
-// decisionPhase selects the phase for a decision on v per Options.Polarity.
-func (s *Solver) decisionPhase(v Var) bool {
-	switch s.opts.Polarity {
-	case PolarityTrue:
-		return true
-	case PolarityFalse:
-		return false
-	case PolarityRandom:
-		return s.rng.next()&1 == 1
-	default:
-		return s.polarity[v]
-	}
 }
 
 // luby computes the Luby restart sequence element for 0-based index x:
@@ -710,7 +662,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 }
 
 // SolveContext is Solve with cancellation support: the context is checked
-// at every restart boundary and additionally every Options.CtxPollConflicts
+// at every restart boundary and additionally every ctxPollConflicts (256)
 // conflicts within a restart, so cancellation takes effect promptly even
 // inside the long late-Luby restart intervals. A cancelled or expired
 // context yields Unknown; callers distinguish it from conflict-budget
@@ -718,7 +670,13 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 //
 // When the result is Unsat because of the assumptions, the minimized
 // inconsistent subset of the assumptions is available from UnsatCore.
+//
+// Every call passes the "sat.solve" fault-injection point (one atomic load
+// unless a chaos test armed it), so the callers' recover boundaries are
+// testable from the whole stack. Only its panic is used: a solve has no
+// error to return, so an injected error is dropped.
 func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) Status {
+	_ = faultinject.Hit("sat.solve")
 	st := s.solveLimited(ctx, assumptions, s.opts.MaxConflicts)
 	if st == Unsat && s.unsatAssumptions && len(s.unsatCore) > 1 {
 		s.minimizeCore(ctx, assumptions)
@@ -742,29 +700,14 @@ func (s *Solver) solveLimited(ctx context.Context, assumptions []Lit, maxConflic
 	}
 
 	var totalConflicts int64
-	restart := int64(-1)
-	geomBudget := float64(s.opts.RestartBase)
-	maxLearnts := len(s.clauses)/3 + s.opts.ReduceBase
+	maxLearnts := len(s.clauses)/3 + reduceBase
 
-	for {
+	for restart := int64(0); ; restart++ {
 		if ctx.Err() != nil {
 			s.cancelUntil(0)
 			return Unknown
 		}
-		// Restart boundary: the trail is at level 0, the only point where
-		// peer clauses can be installed without backtracking bookkeeping.
-		if s.importLearnts != nil && !s.drainImports() {
-			s.unsat = true
-			return Unsat
-		}
-		restart++
-		var budget int64
-		if s.opts.Restart == RestartGeometric {
-			budget = int64(geomBudget)
-			geomBudget *= s.opts.RestartFactor
-		} else {
-			budget = int64(s.opts.RestartBase) * luby(restart)
-		}
+		budget := restartBase * luby(restart)
 		st := s.search(ctx, assumptions, budget, &totalConflicts, maxConflicts, maxLearnts)
 		switch st {
 		case Sat, Unsat:
@@ -778,52 +721,6 @@ func (s *Solver) solveLimited(ctx context.Context, assumptions []Lit, maxConflic
 		}
 		maxLearnts += maxLearnts / 10
 	}
-}
-
-// drainImports installs clauses offered by portfolio peers. Called at
-// decision level 0 only. Returns false if an import (necessarily sound —
-// learnt clauses never depend on assumptions) exposed level-0
-// unsatisfiability.
-func (s *Solver) drainImports() bool {
-	for _, lits := range s.importLearnts() {
-		if !s.addImported(lits) {
-			return false
-		}
-	}
-	return true
-}
-
-// addImported installs one peer-learnt clause at level 0, applying the same
-// normalization as AddClause but storing the clause in the learnt tier so
-// the problem clause set (NumClauses, WriteDIMACS) is unchanged.
-func (s *Solver) addImported(lits []Lit) bool {
-	out := s.addBuf[:0]
-	for _, l := range lits {
-		if l.Var() < 0 || int(l.Var()) >= s.NumVars() {
-			return true // references a variable this solver hasn't synced yet
-		}
-		switch s.value(l) {
-		case lTrue:
-			return true // already satisfied at level 0
-		case lFalse:
-			continue
-		}
-		out = append(out, l)
-	}
-	s.addBuf = out
-	s.stats.SharedImports++
-	switch len(out) {
-	case 0:
-		return false
-	case 1:
-		s.enqueue(out[0], NilRef)
-		return s.propagate() == NilRef
-	}
-	c := s.ca.alloc(out, true)
-	s.ca.setLBD(c, len(out)) // pessimistic; refreshed on first reuse
-	s.learnts = append(s.learnts, c)
-	s.watchClause(c)
-	return true
 }
 
 // cancelUntilRoot backtracks to level 0 after a Solve, preserving the model
@@ -974,7 +871,6 @@ func (s *Solver) minimizeCore(ctx context.Context, assumptions []Lit) {
 // caller re-checks ctx), or an assumption failure.
 func (s *Solver) search(ctx context.Context, assumptions []Lit, budget int64, totalConflicts *int64, maxConflicts int64, maxLearnts int) Status {
 	var conflicts int64
-	ctxPoll := int64(s.opts.CtxPollConflicts)
 	for {
 		confl := s.propagate()
 		if confl != NilRef {
@@ -1001,7 +897,7 @@ func (s *Solver) search(ctx context.Context, assumptions []Lit, budget int64, to
 				s.cancelUntil(0)
 				return Unknown
 			}
-			if conflicts%ctxPoll == 0 && ctx.Err() != nil {
+			if conflicts%ctxPollConflicts == 0 && ctx.Err() != nil {
 				s.cancelUntil(0)
 				return Unknown
 			}
@@ -1036,7 +932,7 @@ func (s *Solver) search(ctx context.Context, assumptions []Lit, budget int64, to
 				return Sat // all variables assigned
 			}
 			s.stats.Decisions++
-			next = v.Lit(s.decisionPhase(v))
+			next = v.Lit(s.polarity[v]) // phase saving
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.enqueue(next, NilRef)

@@ -88,7 +88,6 @@ func (s exactSolver) Solve(ctx context.Context, sk *circuit.Skeleton, a *arch.Ar
 			UseSubsets:     s.subsets,
 			SAT:            s.cfg.SAT,
 			InitialMapping: s.cfg.InitialLayout,
-			Parallel:       s.cfg.Parallel,
 		},
 		Seed:   s.cfg.Seed,
 		Store:  s.cfg.Store,

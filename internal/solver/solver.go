@@ -72,8 +72,6 @@ type Config struct {
 	// the first gate. Rejected by methods that renumber physical qubits
 	// internally (subset-based methods) or choose their own layout (sabre).
 	InitialLayout []int
-	// Parallel fans the §4.1 subset instances out across goroutines.
-	Parallel bool
 	// Portfolio solves the exact family on the DP engine and memoizes
 	// results in Cache. DP takes every instance the SAT encoder accepts:
 	// the encoder refuses devices (and §4.1 subsets) over 6 qubits, so

@@ -397,9 +397,13 @@ func (s *Store) maybeCompactLocked() {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		defer s.compacting.Store(false)
 		s.mu.Lock()
 		defer s.mu.Unlock()
+		// Clear the flag before the lock goes (defers run last-in first-out):
+		// a Put that takes the lock after this pass must be free to start
+		// the next one, or a burst landing in that gap leaves its dead
+		// bytes behind with no pass pending.
+		defer s.compacting.Store(false)
 		if s.closed {
 			return
 		}

@@ -231,12 +231,14 @@ func Equivalent(original, mapped *circuit.Circuit, m int, initial, final perm.Ma
 		for y, want := range exp {
 			ip += cmplx.Conj(want) * mapState.Amplitude(y)
 		}
-		if d := cmplx.Abs(ip); d < 1-eps {
+		// Both tests are negated so that a NaN amplitude, for which every
+		// comparison is false, fails them instead of passing vacuously.
+		if d := cmplx.Abs(ip); !(d >= 1-eps) {
 			return fmt.Errorf("verify: basis %d: fidelity %.12f < 1", b, d)
 		}
 		if b == 0 {
 			phase = ip
-		} else if cmplx.Abs(ip-phase) > 1e-6 {
+		} else if !(cmplx.Abs(ip-phase) <= 1e-6) {
 			return fmt.Errorf("verify: basis %d: phase %.6f differs from %.6f (not a uniform global phase)", b, ip, phase)
 		}
 	}

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -177,6 +178,33 @@ func TestEquivalentWithSwapRelocation(t *testing.T) {
 	// CNOT(p1→p0) realizes CNOT(q0→q1).
 	if err := Equivalent(orig, mapped, 5, perm.Mapping{0, 1}, perm.Mapping{1, 0}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEquivalentRejectsNaNAmplitudes: a circuit that simulates to NaN
+// amplitudes proves nothing, so it must not verify as equivalent to
+// anything, itself included. Every comparison with NaN is false, so the
+// fidelity and phase tests have to fail on it rather than pass. Finite
+// angles get there when φ+λ overflows: U's e^{i(φ+λ)} entry is e^{i·∞} =
+// NaN. A non-finite angle is refused earlier, by gate validation.
+func TestEquivalentRejectsNaNAmplitudes(t *testing.T) {
+	nan := circuit.U(0, 0, math.MaxFloat64, math.MaxFloat64)
+	orig := circuit.New(2).MustAppend(nan, circuit.CNOT(0, 1))
+	id := perm.Mapping{0, 1}
+	for name, mapped := range map[string]*circuit.Circuit{
+		"without the cnot": circuit.New(2).MustAppend(nan),
+		"itself":           orig,
+	} {
+		if err := Equivalent(orig, mapped, 2, id, id); err == nil {
+			t.Errorf("%s: NaN amplitudes verified as equivalent", name)
+		}
+	}
+
+	for _, angle := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		c := circuit.New(2)
+		if err := c.Append(circuit.U(0, angle, 0, 0)); err == nil {
+			t.Errorf("U(%g, 0, 0) appended; a non-finite angle must be refused", angle)
+		}
 	}
 }
 

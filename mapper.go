@@ -241,17 +241,6 @@ func WithLowerBound(on bool) Option {
 	}
 }
 
-// WithSATThreads sets the default clause-sharing portfolio width for the
-// SAT engine (Options.SATThreads): n > 1 solves every instance with n
-// diversified goroutine workers sharing low-LBD learnt clauses; n ≤ 1 (the
-// default) keeps the fully deterministic single solver.
-func WithSATThreads(n int) Option {
-	return func(c *mapperConfig) error {
-		c.opts.SATThreads = n
-		return nil
-	}
-}
-
 // WithLadder enables the degradation ladder by default for every Map call
 // and job that adopts the instance defaults (Options.Ladder): exhausted
 // exact solves return the best valid plan found — anytime incumbent or

@@ -51,7 +51,11 @@
 //
 // Batches of independent mapping jobs run concurrently through
 // Mapper.MapBatch: a bounded worker pool with per-job deadlines and
-// fail-soft error collection (see batch.go).
+// fail-soft error collection (see batch.go). That request level is the
+// only place concurrency lives: each solve, including a §4.1 subset
+// fan-out, runs on one goroutine, so an exact SAT solve is deterministic
+// (the same mapping, conflict count and proof on every run) and a Mapper
+// with one worker per core keeps each core busy with one request.
 //
 // # Portfolio solving
 //
@@ -72,11 +76,10 @@
 // # Context and cancellation
 //
 // Every Mapper call threads its context.Context through the whole solve
-// stack: the symbolic encoder, the CDCL solver (polled every
-// sat.Options.CtxPollConflicts conflicts, 256 by default, and at every
-// restart), the DP engine (checked at every frame transition), the §4.1
-// parallel subset fan-out, and the heuristic mappers (checked between
-// layers, restarts and SABRE passes). Cancelling the context — or
+// stack: the symbolic encoder, the CDCL solver (polled every 256
+// conflicts and at every restart), the DP engine (checked at every frame
+// transition), the §4.1 subset fan-out (checked between subsets), and the
+// heuristic mappers (checked between layers, restarts and SABRE passes). Cancelling the context — or
 // exceeding a deadline set with context.WithTimeout — aborts a solve
 // promptly and returns an error wrapping ctx.Err().
 package qxmap
@@ -246,12 +249,6 @@ type Options struct {
 	// (Stats.LowerBound) — the library face of the CLIs' -lower-bound=off
 	// escape hatch. Costs are unaffected; only the probe count grows.
 	SATNoLowerBound bool
-	// SATThreads, when > 1, runs every SAT engine solve as a clause-sharing
-	// portfolio of that many diversified goroutine workers over the one
-	// incremental encoding (the CLIs' -sat-threads flag). The cost and
-	// minimality proof are unchanged; the witness mapping may differ
-	// between runs. Default (≤ 1) keeps the deterministic single solver.
-	SATThreads int
 	// InitialLayout, when non-nil, pins the logical→physical layout at
 	// the start of the circuit (exact methods route away from it at SWAP
 	// cost if beneficial; the heuristic starts its search from it).
@@ -324,10 +321,9 @@ type Stats struct {
 	CacheTier string `json:"cache_tier"`
 	// Counters are the exact engine's work counters — SATSolves,
 	// SATEncodes, SATConflicts, BoundProbes, BoundJumps, LowerBound (the
-	// admissible seed; 0 under Options.SATNoLowerBound), the §4.1 fan-out
-	// counters SubsetsPruned, CoreFamilyRefutations and OrbitHits, and the
-	// clause-sharing SATThreads and SharedClauses — promoted as fields of
-	// Stats. A SATEncodes other than 1 on a SAT solve means the
+	// admissible seed; 0 under Options.SATNoLowerBound) and the §4.1
+	// fan-out counters SubsetsPruned, CoreFamilyRefutations and OrbitHits —
+	// promoted as fields of Stats. A SATEncodes other than 1 on a SAT solve means the
 	// incremental descent fell back to re-encoding.
 	exact.Counters
 	// Degradation names the ladder rung that produced the plan when
@@ -556,7 +552,6 @@ func (m *Mapper) solvePlan(ctx context.Context, sk *circuit.Skeleton, a *arch.Ar
 			BinaryDescent: opts.SATBinaryDescent,
 			MaxConflicts:  opts.SATMaxConflicts,
 			NoLowerBound:  opts.SATNoLowerBound,
-			Threads:       opts.SATThreads,
 		},
 		HeuristicRuns: opts.HeuristicRuns,
 		Seed:          opts.Seed,
