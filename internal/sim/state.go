@@ -1,11 +1,8 @@
-// Package sim provides two circuit simulators used for verification:
-// a full state-vector simulator over the library's gate set (exact
-// semantics for up to ~12 qubits), and a GF(2) linear-reversible simulator
-// for CNOT/SWAP circuits that scales to any size the mapper handles.
-//
-// The mapped circuits produced by this library are verified against the
-// originals through these simulators (internal/verify), so the paper's
-// minimality results are established over provably equivalent circuits.
+// Package sim is a state-vector simulator over the library's gate set
+// (exact semantics for up to MaxQubits qubits). verify.Equivalent uses it
+// to check circuits the peephole optimizer rewrote, and tests use it as
+// the oracle of the translation checker that verifies every mapped
+// circuit (internal/verify).
 package sim
 
 import (

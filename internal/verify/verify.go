@@ -1,18 +1,23 @@
 // Package verify establishes that mapped circuits are correct: compliant
-// with the target architecture's CNOT constraints, structurally faithful to
-// the original gate sequence, and semantically equivalent to the original
-// circuit under the chosen initial/final qubit layouts.
+// with the target architecture's CNOT constraints and equivalent to the
+// original circuit under the chosen initial/final qubit layouts.
 //
-// Three independent layers are provided, from cheap to exhaustive:
+// Three checks are provided:
 //
 //  1. CouplingCompliant — static constraint check (paper Definition 2).
-//  2. OpStream / SkeletonOps — structural and GF(2)-linear replay of a
-//     mapped op stream against the CNOT skeleton.
-//  3. Equivalent — full unitary equivalence by basis-state simulation.
+//  2. Translation — a linear-time check that the mapped circuit is the
+//     original with only the paper's SWAP blocks and 4-H direction
+//     switches inserted (Fig. 3 and 5). Acceptance implies equivalence at
+//     any device size; the pipeline runs it on every mapped circuit.
+//  3. Equivalent — unitary equivalence by basis-state simulation, for
+//     devices of at most sim.MaxQubits qubits. It checks circuits the
+//     peephole optimizer rewrote, which Translation cannot parse, and is
+//     Translation's test oracle.
 package verify
 
 import (
 	"fmt"
+	"math"
 	"math/cmplx"
 
 	"repro/internal/arch"
@@ -45,125 +50,204 @@ func CouplingCompliant(c *circuit.Circuit, a *arch.Arch) error {
 	return nil
 }
 
-// OpStream replays a mapped op stream against the skeleton, checking that
-// SWAPs use coupled pairs, CNOT ops realize the skeleton gates in order
-// under the evolving layout, and executed directions are natively allowed.
-// It returns the final layout.
-func OpStream(sk *circuit.Skeleton, a *arch.Arch, ops []circuit.MappedOp, initial perm.Mapping) (perm.Mapping, error) {
-	if len(initial) != sk.NumQubits {
-		return nil, fmt.Errorf("verify: initial mapping has %d entries for %d qubits", len(initial), sk.NumQubits)
+// Translation checks that mapped is original translated onto a (paper
+// Fig. 5), by translation validation (Pnueli, Siegel and Singerman, TACAS
+// 1998; Necula, PLDI 2000). It walks mapped once with a logical→physical
+// layout that starts at initial and accepts only
+//
+//   - each single-qubit gate of original, of the same kind and with
+//     bit-identical angles, on its logical qubit's current physical qubit;
+//   - each CNOT of original (or MCT with one control) as one unit in its
+//     direction on its qubits' current physical pair;
+//   - wherever ops has a SWAP(p,q), three units on p and q, each the
+//     reverse of the one before: CNOT(x→y)·CNOT(y→x)·CNOT(x→y) swaps the
+//     states of x and y, and the layout swaps with them.
+//
+// A unit is a native CNOT, or the native CNOT the other way round between
+// an H on each qubit before and after, each pair in either order (paper
+// Fig. 3). After the last input gate and the SWAPs that follow it nothing
+// may remain, and the layout must end at final.
+//
+// ops is only a parse witness: it says where SWAP blocks stand, which the
+// gates alone do not (a SWAP on the next CNOT's own pair can begin with
+// that CNOT's native gate), and its CNOT ops are counted, never read.
+// Each accepted form computes what the layout update says
+// (TestTranslationBlocksAreIdentities proves every form by simulation),
+// and free physical qubits are only ever swapped, so whatever ops says an
+// accepted mapped is equivalent to original under initial and final.
+// Time and space are linear in the sizes of the circuits, ops and a.
+func Translation(original, mapped *circuit.Circuit, a *arch.Arch, ops []circuit.MappedOp, initial, final perm.Mapping) error {
+	n, m := original.NumQubits(), a.NumQubits()
+	if mapped.NumQubits() > m {
+		return fmt.Errorf("verify: mapped circuit has %d qubits, %s has %d", mapped.NumQubits(), a, m)
 	}
-	if !initial.Valid(a.NumQubits()) {
-		return nil, fmt.Errorf("verify: initial mapping %v invalid", initial)
+	if len(initial) != n || len(final) != n {
+		return fmt.Errorf("verify: layout sizes %d/%d for %d qubits", len(initial), len(final), n)
 	}
-	mp := initial.Copy()
-	next := 0
-	for oi, op := range ops {
-		if op.Swap {
-			if !a.AllowsEitherDirection(op.A, op.B) {
-				return nil, fmt.Errorf("verify: op %d: SWAP(p%d,p%d) on uncoupled pair", oi, op.A, op.B)
-			}
-			mp = mp.ApplySwap(op.A, op.B)
-			continue
-		}
-		if next >= sk.Len() {
-			return nil, fmt.Errorf("verify: op %d: more CNOT ops than skeleton gates", oi)
-		}
-		g := sk.Gates[next]
-		if op.GateIndex != next {
-			return nil, fmt.Errorf("verify: op %d: implements gate %d, expected %d", oi, op.GateIndex, next)
-		}
-		next++
-		if !a.Allows(op.Control, op.Target) {
-			return nil, fmt.Errorf("verify: op %d: CNOT(p%d→p%d) violates coupling map", oi, op.Control, op.Target)
-		}
-		pc, pt := mp[g.Control], mp[g.Target]
-		if op.Switched {
-			if op.Control != pt || op.Target != pc {
-				return nil, fmt.Errorf("verify: op %d: switched CNOT(p%d→p%d) does not realize g%d under layout %v",
-					oi, op.Control, op.Target, next, mp)
-			}
-		} else if op.Control != pc || op.Target != pt {
-			return nil, fmt.Errorf("verify: op %d: CNOT(p%d→p%d) does not realize g%d under layout %v",
-				oi, op.Control, op.Target, next, mp)
-		}
+	buf := make([]int, n+m)
+	t := translator{a: a, gates: mapped.Gates(), ops: ops, layout: buf[:n], holder: buf[n:]}
+	for p := range t.holder {
+		t.holder[p] = -1
 	}
-	if next != sk.Len() {
-		return nil, fmt.Errorf("verify: only %d of %d skeleton gates realized", next, sk.Len())
-	}
-	return mp, nil
-}
-
-// SkeletonOps performs the GF(2)-linear equivalence check: the net linear
-// action of the op stream on the physical qubits must equal the skeleton's
-// linear action on the logical qubits, conjugated by the initial and final
-// layouts. Unused physical qubits must come out as a permutation of unused
-// inputs. This check is independent of OpStream's structural replay and
-// scales to arbitrarily long circuits.
-func SkeletonOps(sk *circuit.Skeleton, m int, ops []circuit.MappedOp, initial, final perm.Mapping) error {
-	if m > 64 {
-		return fmt.Errorf("verify: GF(2) check limited to 64 physical qubits")
-	}
-	// Physical net map: a switched CNOT op surrounded by 4 H gates still
-	// implements the logical CNOT with control on the qubit holding the
-	// logical control (paper Fig. 3).
-	phys := sim.NewLinearIdentity(m)
-	for _, op := range ops {
-		if op.Swap {
-			phys.ApplySWAP(op.A, op.B)
-			continue
+	for j, p := range initial {
+		if p < 0 || p >= m || t.holder[p] >= 0 {
+			return fmt.Errorf("verify: initial layout %v is not injective into %d qubits", initial, m)
 		}
-		c, t := op.Control, op.Target
-		if op.Switched {
-			c, t = t, c
-		}
-		phys.ApplyCNOT(c, t)
+		t.layout[j], t.holder[p] = p, j
 	}
-	// Logical reference map.
-	logical := sim.NewLinearIdentity(sk.NumQubits)
-	for _, g := range sk.Gates {
-		logical.ApplyCNOT(g.Control, g.Target)
-	}
-	// Compare: row of phys at final[j] must equal logical row j translated
-	// through the initial layout.
-	usedIn := make([]bool, m)
-	usedOut := make([]bool, m)
-	for j := 0; j < sk.NumQubits; j++ {
-		usedIn[initial[j]] = true
-		usedOut[final[j]] = true
-		var want uint64
-		for j2 := 0; j2 < sk.NumQubits; j2++ {
-			if logical.Rows[j]>>uint(j2)&1 == 1 {
-				want |= 1 << uint(initial[j2])
-			}
+	for i, g := range original.Gates() {
+		var err error
+		switch {
+		case g.Kind.IsSingleQubit():
+			err = t.single(g)
+		case g.Kind == circuit.KindCNOT || g.Kind == circuit.KindMCT && len(g.Qubits) == 2:
+			err = t.cnot(g.Qubits[0], g.Qubits[1])
+		default:
+			err = fmt.Errorf("%s is not elementary", g.Kind)
 		}
-		if got := phys.Rows[final[j]]; got != want {
-			return fmt.Errorf("verify: GF(2) mismatch for logical q%d: row %b, want %b", j, got, want)
+		if err != nil {
+			return fmt.Errorf("verify: input gate %d: %w", i, err)
 		}
 	}
-	// Unused outputs must be single unused input bits, pairwise distinct.
-	seen := make(map[uint64]bool)
-	for i := 0; i < m; i++ {
-		if usedOut[i] {
-			continue
+	if err := t.swaps(); err != nil {
+		return fmt.Errorf("verify: after the last input gate: %w", err)
+	}
+	if t.op < len(ops) {
+		return fmt.Errorf("verify: op %d: CNOT op beyond the input's CNOTs", t.op)
+	}
+	if t.k < len(t.gates) {
+		return fmt.Errorf("verify: mapped gate %d (%s) follows the whole input", t.k, t.gates[t.k])
+	}
+	for j, p := range t.layout {
+		if p != final[j] {
+			return fmt.Errorf("verify: layout ends at %v, final layout is %v", t.layout, final)
 		}
-		row := phys.Rows[i]
-		if row == 0 || row&(row-1) != 0 {
-			return fmt.Errorf("verify: unused physical qubit %d has non-trivial row %b", i, row)
-		}
-		bit := 0
-		for row>>uint(bit)&1 == 0 {
-			bit++
-		}
-		if usedIn[bit] {
-			return fmt.Errorf("verify: unused output %d reads used input %d", i, bit)
-		}
-		if seen[row] {
-			return fmt.Errorf("verify: unused input read twice")
-		}
-		seen[row] = true
 	}
 	return nil
+}
+
+// translator is Translation's cursor: the next mapped gate and witness op,
+// and the layout in both directions.
+type translator struct {
+	a      *arch.Arch
+	gates  []circuit.Gate // the mapped circuit
+	k      int            // next unread mapped gate
+	ops    []circuit.MappedOp
+	op     int   // next unread witness op
+	layout []int // logical → physical
+	holder []int // physical → logical, −1 when free
+}
+
+// single reads input gate g, a single-qubit gate.
+func (t *translator) single(g circuit.Gate) error {
+	p := t.layout[g.Qubits[0]]
+	if t.k < len(t.gates) {
+		h := t.gates[t.k]
+		if h.Kind == g.Kind && h.Qubits[0] == p &&
+			math.Float64bits(h.Theta) == math.Float64bits(g.Theta) &&
+			math.Float64bits(h.Phi) == math.Float64bits(g.Phi) &&
+			math.Float64bits(h.Lambda) == math.Float64bits(g.Lambda) {
+			t.k++
+			return nil
+		}
+	}
+	return t.mismatch("%s on p%d", g, p)
+}
+
+// cnot reads the SWAP blocks the witness puts before the input CNOT
+// between logical qubits c and tg, then the CNOT itself.
+func (t *translator) cnot(c, tg int) error {
+	if err := t.swaps(); err != nil {
+		return err
+	}
+	if t.op == len(t.ops) {
+		return fmt.Errorf("op stream ends before this CNOT")
+	}
+	t.op++
+	pc, pt := t.layout[c], t.layout[tg]
+	if x, y, k, ok := t.unit(t.k, pc, pt); ok && x == pc && y == pt {
+		t.k = k
+		return nil
+	}
+	return t.mismatch("CNOT(p%d→p%d)", pc, pt)
+}
+
+// swaps reads a SWAP block, CNOT(x→y)·CNOT(y→x)·CNOT(x→y) with {x,y} the
+// op's pair, for each SWAP op from the witness cursor up to its next CNOT
+// op.
+func (t *translator) swaps() error {
+	for ; t.op < len(t.ops) && t.ops[t.op].Swap; t.op++ {
+		p, q := t.ops[t.op].A, t.ops[t.op].B
+		x, y, k, ok0 := t.unit(t.k, p, q)
+		c1, t1, k, ok1 := t.unit(k, p, q)
+		c2, t2, k, ok2 := t.unit(k, p, q)
+		if !ok0 || !ok1 || !ok2 || c1 != y || t1 != x || c2 != x || t2 != y {
+			return t.mismatch("op %d: SWAP(p%d,p%d) block", t.op, p, q)
+		}
+		// The units matched mapped gates, so p and q are distinct physical
+		// qubits of a.
+		t.k = k
+		lp, lq := t.holder[p], t.holder[q]
+		t.holder[p], t.holder[q] = lq, lp
+		if lp >= 0 {
+			t.layout[lp] = q
+		}
+		if lq >= 0 {
+			t.layout[lq] = p
+		}
+	}
+	return nil
+}
+
+// unit reads one CNOT between physical qubits p and q from mapped gate k
+// on: a native CNOT, or a native CNOT between an H pair on p and q on
+// each side, which realizes the CNOT the other way round. It returns the
+// realized control and target and the index after the unit.
+func (t *translator) unit(k, p, q int) (c, tg, next int, ok bool) {
+	wrapped := t.hPair(k, p, q)
+	if wrapped {
+		k += 2
+	}
+	if k >= len(t.gates) || t.gates[k].Kind != circuit.KindCNOT {
+		return 0, 0, 0, false
+	}
+	c, tg = t.gates[k].Qubits[0], t.gates[k].Qubits[1]
+	if !(c == p && tg == q || c == q && tg == p) || !t.a.Allows(c, tg) {
+		return 0, 0, 0, false
+	}
+	k++
+	if wrapped {
+		if !t.hPair(k, p, q) {
+			return 0, 0, 0, false
+		}
+		k += 2
+		c, tg = tg, c
+	}
+	return c, tg, k, true
+}
+
+// hPair reports whether mapped gates k and k+1 are an H on p and an H on
+// q, in either order.
+func (t *translator) hPair(k, p, q int) bool {
+	if k+1 >= len(t.gates) {
+		return false
+	}
+	g, h := t.gates[k], t.gates[k+1]
+	if g.Kind != circuit.KindH || h.Kind != circuit.KindH {
+		return false
+	}
+	x, y := g.Qubits[0], h.Qubits[0]
+	return x == p && y == q || x == q && y == p
+}
+
+// mismatch reports that the next mapped gate does not begin the expected
+// translation.
+func (t *translator) mismatch(format string, args ...any) error {
+	got := "the end of the circuit"
+	if t.k < len(t.gates) {
+		got = t.gates[t.k].String()
+	}
+	return fmt.Errorf("mapped gate %d is %s, want "+format, append([]any{t.k, got}, args...)...)
 }
 
 // Equivalent performs full unitary equivalence checking by basis-state

@@ -211,9 +211,9 @@ func WithDefaultTimeout(d time.Duration) Option {
 	}
 }
 
-// WithVerify sets the default verification policy: on (the default) runs
-// the structural, GF(2) and small-instance unitary checks on every mapped
-// circuit; off skips them (Options.SkipVerify).
+// WithVerify sets the default verification policy: on (the default)
+// checks every mapped circuit against its input (Options.SkipVerify
+// describes the checks); off skips them.
 func WithVerify(on bool) Option {
 	return func(c *mapperConfig) error {
 		c.opts.SkipVerify = !on

@@ -227,9 +227,11 @@ type Options struct {
 	// Lookahead weighs the next layer into MethodAStar's search heuristic
 	// (customary value 0.5; 0 disables).
 	Lookahead float64
-	// SkipVerify disables the built-in structural + GF(2) verification of
-	// the mapped circuit (on by default; full unitary verification is
-	// additionally run for small instances).
+	// SkipVerify disables the built-in verification of the mapped circuit
+	// (on by default): a linear-time translation check that proves it
+	// equivalent to the input at any device size, and after Optimize a
+	// coupling check plus unitary simulation for circuits of at most 6
+	// qubits on devices of at most 12.
 	SkipVerify bool
 	// SATStartBound, when positive, seeds the SAT engine's descent with a
 	// known upper bound on F. The bound is enforced as a guard assumption
@@ -302,8 +304,8 @@ type Stats struct {
 	SolveTime time.Duration `json:"solve_ns"`
 	// MaterializeTime is stage 3: expanding the op stream into gates.
 	MaterializeTime time.Duration `json:"materialize_ns"`
-	// VerifyTime is stage 4 (and the post-optimize re-check of stage 5):
-	// structural, GF(2) and small-instance unitary verification.
+	// VerifyTime is stage 4, the translation check, plus the
+	// post-optimize re-check of stage 5.
 	VerifyTime time.Duration `json:"verify_ns"`
 	// OptimizeTime is stage 5: peephole optimization (when enabled).
 	OptimizeTime time.Duration `json:"optimize_ns"`
@@ -493,17 +495,21 @@ func (m *Mapper) runPipeline(ctx context.Context, c *Circuit, a *Architecture, o
 	res.FinalLayout = final
 	res.Stats.MaterializeTime = time.Since(st)
 
-	// Stage 4: verify — structural, GF(2), and (small instances) unitary
-	// equivalence checks.
+	// Stage 4: verify — one linear pass proves the mapped circuit is the
+	// input with only SWAP blocks and 4-H switches inserted, hence
+	// coupling-compliant and equivalent under the result's layouts.
 	if !opts.SkipVerify {
 		st = time.Now()
-		if err := verifyResult(c, sk, a, plan.Ops, res); err != nil {
+		if err := verify.Translation(c, res.Mapped, a, plan.Ops, res.InitialLayout, res.FinalLayout); err != nil {
 			return nil, err
 		}
 		res.Stats.VerifyTime = time.Since(st)
 	}
 
-	// Stage 5: optimize — peephole simplification, re-verified.
+	// Stage 5: optimize — peephole simplification, re-verified. Its
+	// rewrites break the patterns Translation parses, so the re-check is
+	// coupling compliance plus unitary simulation for circuits of at most
+	// 6 qubits on devices of at most sim.MaxQubits.
 	if opts.Optimize {
 		st = time.Now()
 		simplified, ost := opt.Simplify(res.Mapped)
@@ -572,30 +578,4 @@ func (m *Mapper) solvePlan(ctx context.Context, sk *circuit.Skeleton, a *arch.Ar
 		return nil, err
 	}
 	return s.Solve(ctx, sk, a)
-}
-
-// verifyResult layers the structural, GF(2) and (for small instances) full
-// unitary checks over a freshly mapped circuit.
-func verifyResult(c *Circuit, sk *circuit.Skeleton, a *Architecture, ops []circuit.MappedOp, res *Result) error {
-	if err := verify.CouplingCompliant(res.Mapped, a); err != nil {
-		return err
-	}
-	if sk.Len() > 0 {
-		final, err := verify.OpStream(sk, a, ops, res.InitialLayout)
-		if err != nil {
-			return err
-		}
-		if !final.Equal(res.FinalLayout) {
-			return fmt.Errorf("qxmap: layout mismatch: %v vs %v", final, res.FinalLayout)
-		}
-		if err := verify.SkeletonOps(sk, a.NumQubits(), ops, res.InitialLayout, res.FinalLayout); err != nil {
-			return err
-		}
-	}
-	if a.NumQubits() <= sim.MaxQubits && c.NumQubits() <= 6 {
-		if err := verify.Equivalent(c, res.Mapped, a.NumQubits(), res.InitialLayout, res.FinalLayout); err != nil {
-			return err
-		}
-	}
-	return nil
 }
